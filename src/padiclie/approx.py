@@ -17,7 +17,7 @@ The module also hosts the matching optimality machinery: a worst-case
 constructor from surjective linear functionals, an exhaustive search over
 all proper isolated candidates mod p^m certifying that no better exponent
 is possible on a given instance, and a group-level certificate obtained by
-taking logarithms over a BFS closure.
+taking logarithms over a subgroup closure.
 """
 
 from __future__ import annotations

@@ -158,8 +158,14 @@ def _evaluate_on_grid(f: IntPolynomial, q: int) -> np.ndarray:
     return acc
 
 
+def _require_prime(p: int) -> None:
+    if not is_prime(p):
+        raise PreconditionViolation(f"p = {p} is not prime")
+
+
 def count_affine(f: IntPolynomial, p: int, n: int, *, cap: int = DEFAULT_ENUM_CAP) -> int:
     """Exact number of zeros of f on (Z/p^n)^s by full enumeration."""
+    _require_prime(p)
     if f.is_zero(mod_p=p):
         raise ZeroModP("polynomial vanishes identically mod p")
     if n < 1 or f.nvars < 1:
@@ -200,6 +206,7 @@ class CongruenceBound:
 
 def bound_a6(d: int, s: int, p: int, n: int) -> CongruenceBound:
     """The count-form bound for degree-d polynomials in s variables mod p^n."""
+    _require_prime(p)
     if min(d, s, n) < 1:
         raise PreconditionViolation("d, s, n must all be >= 1")
     B = d**s * comb(n + s - 1, s - 1)
@@ -264,6 +271,7 @@ class SchmidtCheck:
 
 def schmidt_check(g: IntPolynomial, p: int, *, cap: int = DEFAULT_ENUM_CAP) -> SchmidtCheck:
     """Exhaustive zero count over F_p^s against the bound deg(g) p^{s-1}."""
+    _require_prime(p)
     if g.is_zero(mod_p=p):
         raise ZeroPolynomial("polynomial is zero over F_p")
     count = count_affine(g, p, 1, cap=cap)

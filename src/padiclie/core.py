@@ -414,100 +414,262 @@ def _mat_to_tuple(g: MatP) -> Tuple4:
     return (a, b, c, d)
 
 
+# Coset blocks are built at most this many codes at a time, which bounds the
+# engine's scratch memory whatever the subgroup order.
+_BLOCK_CODES = 1 << 18
+
+
+def _encode(a, b, c, d, q):
+    return ((a * q + b) * q + c) * q + d
+
+
+def _decode(codes: np.ndarray, q: int):
+    d = codes % q
+    r = codes // q
+    c = r % q
+    r //= q
+    return r // q, r % q, c, d
+
+
+def _times(x, y, q):
+    """Entrywise-broadcast product of two element columns x, y (or tuples)."""
+    a, b, c, d = x
+    e, f, g, h = y
+    return (
+        (a * e + b * g) % q,
+        (a * f + b * h) % q,
+        (c * e + d * g) % q,
+        (c * f + d * h) % q,
+    )
+
+
+def _isin_sorted(sorted_codes: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    pos = np.searchsorted(sorted_codes, codes)
+    pos[pos == len(sorted_codes)] = 0
+    return sorted_codes[pos] == codes
+
+
+class _SortedRuns:
+    """A growing code set as sorted runs, each over twice the size of the
+    next, so membership costs a few binary searches and every code is
+    merged O(log n) times."""
+
+    def __init__(self, first: np.ndarray):
+        self.runs = [first]
+        self.size = len(first)
+
+    def add(self, codes: np.ndarray) -> None:
+        runs = self.runs
+        runs.append(np.sort(codes))
+        self.size += len(codes)
+        while len(runs) > 1 and len(runs[-2]) < 2 * len(runs[-1]):
+            last = runs.pop()
+            runs[-1] = np.sort(np.concatenate((runs[-1], last)), kind="stable")
+
+    def missing(self, codes: np.ndarray) -> np.ndarray:
+        mask = np.ones(len(codes), dtype=bool)
+        for run in self.runs:
+            mask &= ~_isin_sorted(run, codes)
+        return mask
+
+    def merged(self) -> np.ndarray:
+        return np.sort(np.concatenate(self.runs), kind="stable")
+
+
+def _over_cap(size: int, cap: int) -> ClosureBudgetExceeded:
+    return ClosureBudgetExceeded(f"closure exceeded cap {cap} (at least {size} elements)")
+
+
+def _cosets(h, reps, q: int) -> np.ndarray:
+    """Codes of the cosets H.r, |H| codes per representative, for H given
+    by its entry columns; built a bounded block at a time."""
+    order_h = len(h[0])
+    h = tuple(x[None, :] for x in h)
+    chunk = max(1, _BLOCK_CODES // order_h)
+    blocks = [
+        _encode(*_times(h, tuple(x[lo:lo + chunk, None] for x in reps), q), q).ravel()
+        for lo in range(0, len(reps[0]), chunk)
+    ]
+    return np.concatenate(blocks)
+
+
+def _doubling_codes(h_codes: np.ndarray, g: Tuple4, q: int, cap: int) -> np.ndarray:
+    """Sorted codes of <H, g> for g normalizing H (the cyclic group <g>
+    when H is trivial), by doubling.
+
+    Then <H, g> is the union of the cosets H.g^i for i below the least j
+    with g^j in H.  The representatives R = (g^i), i < k, double as
+    R <- R u R.g^k, so log2(j) vectorized steps reach j; the cosets are
+    built once, at the end.
+    """
+    order_h = len(h_codes)
+    reps = tuple(np.array([x], dtype=h_codes.dtype) for x in (1, 0, 0, 1))
+    step = g  # g^k
+    while True:
+        block = _times(reps, step, q)  # g^(k + i) for i < k
+        hits = np.flatnonzero(_isin_sorted(h_codes, _encode(*block, q)))
+        take = int(hits[0]) if hits.size else len(reps[0])
+        size = (len(reps[0]) + take) * order_h
+        if size > cap:
+            raise _over_cap(size, cap)
+        reps = tuple(np.concatenate((x, y[:take])) for x, y in zip(reps, block))
+        if hits.size:
+            return np.sort(_cosets(_decode(h_codes, q), reps, q))
+        step = _times(step, step, q)
+
+
+def _dimino_codes(
+    h_codes: np.ndarray, gens: Sequence[Tuple4], q: int, cap: int
+) -> np.ndarray:
+    """Sorted codes of <H, gens> for a subgroup H given by its sorted codes
+    and a generator list whose earlier members generate H (one Dimino stage).
+
+    The result is the union of the right cosets H.t.  Each round multiplies
+    the representatives found in the previous one by every generator; the
+    products outside the known cosets are tested together, each coset keyed
+    by its smallest code, and every new coset joins as one block of |H|
+    codes.  The union of cosets is closed under right multiplication by the
+    generators when no round finds a new one, so it is the whole subgroup.
+    """
+    dtype = h_codes.dtype
+    h = tuple(x[None, :] for x in _decode(h_codes, q))
+    s = tuple(np.array(col, dtype=dtype)[None, :] for col in zip(*gens))
+    order_h = len(h_codes)
+    chunk = max(1, _BLOCK_CODES // order_h)
+    known = _SortedRuns(h_codes)
+    frontier = tuple(np.array([x], dtype=dtype) for x in (1, 0, 0, 1))
+    while len(frontier[0]):
+        cand = tuple(x.ravel() for x in _times(tuple(x[:, None] for x in frontier), s, q))
+        codes, first = np.unique(_encode(*cand, q), return_index=True)
+        keep = first[known.missing(codes)]
+        cand = tuple(x[keep] for x in cand)
+        reps = []
+        for lo in range(0, len(cand[0]), chunk):
+            piece = tuple(x[lo:lo + chunk, None] for x in cand)
+            if lo:  # cosets found earlier in this round may hold some
+                fresh = known.missing(_encode(*piece, q)[:, 0])
+                piece = tuple(x[fresh] for x in piece)
+            cosets = _encode(*_times(h, piece, q), q)  # row j: H.t_j
+            _, first = np.unique(cosets.min(axis=1), return_index=True)
+            if known.size + len(first) * order_h > cap:
+                raise _over_cap(known.size + len(first) * order_h, cap)
+            known.add(cosets[first].ravel())
+            reps.append(tuple(x[first, 0] for x in piece))
+        if not reps:
+            break
+        frontier = tuple(np.concatenate(col) for col in zip(*reps))
+    return known.merged()
+
+
 class SubgroupClosure:
     """The full element set of the subgroup generated by finitely many
-    elements of SL(2, Z/q), computed by breadth-first multiplication.
+    elements of SL(2, Z/q), built by Dimino's coset enumeration (Dimino
+    1971; Butler, *Fundamental Algorithms for Permutation Groups*, 1991).
 
-    In a finite group the semigroup generated by a set equals the subgroup
-    it generates (inverses are positive powers), so right-multiplying by
-    generators until stabilization is complete.  Elements are stored as
-    int64 codes when q**4 fits, otherwise as plain tuples.
+    The first generator's cyclic group is built by doubling; each further
+    generator g that is not yet a member extends the closure H to <H, g>
+    by one Dimino stage, the union of the right cosets of H.  ``extend``
+    runs that stage on a closure that already exists, so growing a
+    subgroup one generator at a time never starts over.
+
+    Elements are stored as one sorted array of codes
+    ((a q + b) q + c) q + d: int64 when q**4 fits, Python integers in an
+    object array otherwise.  Only generators that enlarged the group are
+    kept in ``generators``.
     """
 
-    def __init__(self, q: int, codes: np.ndarray | None, elements: frozenset[Tuple4] | None):
-        self.q = q
-        self._codes = codes  # sorted int64 array, or None
-        self._elements = elements  # frozenset fallback, or None
+    def __init__(self, modulus: Modulus, generators: tuple[Tuple4, ...], codes: np.ndarray):
+        self.modulus = modulus
+        self.q = modulus.pN
+        self.generators = generators
+        self._codes = codes
+
+    @classmethod
+    def trivial(cls, modulus: Modulus) -> "SubgroupClosure":
+        q = modulus.pN
+        dtype = np.int64 if q**4 <= 2**62 else object
+        return cls(modulus, (), np.array([_encode(1, 0, 0, 1, q)], dtype=dtype))
 
     @property
     def order(self) -> int:
-        return len(self._codes) if self._codes is not None else len(self._elements)
+        return len(self._codes)
 
     def __len__(self) -> int:
         return self.order
 
+    @property
+    def codes(self) -> np.ndarray:
+        """The sorted element codes, read-only."""
+        view = self._codes.view()
+        view.flags.writeable = False
+        return view
+
+    def extend(self, g: MatP, *, cap: int = DEFAULT_CLOSURE_CAP) -> "SubgroupClosure":
+        """The closure of <H, g>, by one Dimino stage; ``self`` when g is
+        already a member."""
+        if g.modulus != self.modulus:
+            raise ModulusMismatch(f"element lives mod {g.modulus.pN}, closure mod {self.q}")
+        if g.det() != 1 % self.q:
+            raise ValueError("generator has det != 1 mod p^N")
+        t = _mat_to_tuple(g)
+        if self.contains_tuple(t):
+            return self
+        gens = (*self.generators, t)
+        if self._normalizes(g):
+            codes = _doubling_codes(self._codes, t, self.q, cap)
+        else:
+            codes = _dimino_codes(self._codes, gens, self.q, cap)
+        return SubgroupClosure(self.modulus, gens, codes)
+
+    def _normalizes(self, g: MatP) -> bool:
+        """Whether g H g^-1 = H, tested on the generators of H."""
+        g_inv = mat_inverse(g)
+        q = self.q
+        return all(
+            self.contains_tuple(_times(_times(_mat_to_tuple(g), s, q), _mat_to_tuple(g_inv), q))
+            for s in self.generators
+        )
+
     def contains_tuple(self, t: Tuple4) -> bool:
-        if self._codes is not None:
-            code = ((t[0] * self.q + t[1]) * self.q + t[2]) * self.q + t[3]
-            i = int(np.searchsorted(self._codes, code))
-            return i < len(self._codes) and int(self._codes[i]) == code
-        return t in self._elements
+        code = _encode(*t, self.q)
+        i = int(np.searchsorted(self._codes, code))
+        return i < len(self._codes) and int(self._codes[i]) == code
 
     def contains(self, g: MatP) -> bool:
         if g.modulus.pN != self.q:
             raise ModulusMismatch(f"element lives mod {g.modulus.pN}, closure mod {self.q}")
         return self.contains_tuple(_mat_to_tuple(g))
 
+    def contains_columns(self, a, b, c, d) -> np.ndarray:
+        """Membership mask of the elements with entry columns a, b, c, d
+        (residues in [0, q))."""
+        cols = (np.asarray(x).astype(self._codes.dtype, copy=False) for x in (a, b, c, d))
+        return _isin_sorted(self._codes, _encode(*cols, self.q))
+
     def iter_tuples(self) -> Iterator[Tuple4]:
-        if self._codes is not None:
-            q = self.q
-            for code in self._codes.tolist():
-                d = code % q
-                code //= q
-                c = code % q
-                code //= q
-                b = code % q
-                a = code // q
-                yield (a, b, c, d)
-        else:
-            yield from sorted(self._elements)
+        """The elements as (a, b, c, d), in increasing code order."""
+        return _iter_tuples(self._codes, self.q)
+
+    def double_coset(self, g: MatP) -> frozenset[Tuple4]:
+        """H g H, from all |H|^2 products; <H, x> = <H, g> for each x in it."""
+        q = self.q
+        h = _decode(self._codes, q)
+        left = _times(h, _mat_to_tuple(g), q)
+        cols = _times(tuple(x[:, None] for x in left), tuple(x[None, :] for x in h), q)
+        return frozenset(_iter_tuples(np.unique(_encode(*cols, q)), q))
 
 
-def _closure_numpy(q: int, gens: list[Tuple4], cap: int) -> np.ndarray:
-    def encode(cols):
-        a, b, c, d = cols
-        return ((a * q + b) * q + c) * q + d
-
-    def decode(codes):
-        d = codes % q
-        r = codes // q
-        c = r % q
-        r = r // q
-        b = r % q
-        a = r // q
-        return a, b, c, d
-
-    start = np.array(sorted({encode((np.int64(a), np.int64(b), np.int64(c), np.int64(d)))
-                             for a, b, c, d in gens} | {encode((np.int64(1), np.int64(0), np.int64(0), np.int64(1)))}),
-                     dtype=np.int64)
-    visited = start
-    frontier = start
-    gen_arr = [(g[0], g[1], g[2], g[3]) for g in gens]
-    while frontier.size:
-        a, b, c, d = decode(frontier)
-        batches = []
-        for e, f, g_, h in gen_arr:
-            na = (a * e + b * g_) % q
-            nb = (a * f + b * h) % q
-            nc = (c * e + d * g_) % q
-            nd = (c * f + d * h) % q
-            batches.append(encode((na, nb, nc, nd)))
-        cand = np.unique(np.concatenate(batches))
-        pos = np.searchsorted(visited, cand)
-        pos[pos >= len(visited)] = len(visited) - 1
-        new = cand[visited[pos] != cand]
-        if new.size == 0:
-            break
-        visited = np.union1d(visited, new)
-        if len(visited) > cap:
-            raise ClosureBudgetExceeded(
-                f"closure exceeded cap {cap} (at least {len(visited)} elements)"
-            )
-        frontier = new
-    return visited
+def _iter_tuples(codes: np.ndarray, q: int) -> Iterator[Tuple4]:
+    for code in codes.tolist():
+        code, d = divmod(code, q)
+        code, c = divmod(code, q)
+        a, b = divmod(code, q)
+        yield (a, b, c, d)
 
 
 def _closure_python(q: int, gens: list[Tuple4], cap: int) -> frozenset[Tuple4]:
+    """Breadth-first closure over a Python set: the test oracle for the
+    coset-enumeration engine."""
     seen: set[Tuple4] = {(1, 0, 0, 1)}
     seen.update(gens)
     frontier = list(seen)
@@ -528,48 +690,30 @@ def _closure_python(q: int, gens: list[Tuple4], cap: int) -> frozenset[Tuple4]:
     return frozenset(seen)
 
 
-def closure_of_pool(
-    pool: Sequence[MatP], modulus: Modulus, *, cap: int = DEFAULT_CLOSURE_CAP
-) -> SubgroupClosure:
-    """Closure of the subgroup generated by a possibly huge pool of
-    elements, keeping the working generator set minimal.
-
-    Pool members already inside the running closure are skipped, so the
-    cost is |G| times the size of a small generating set rather than the
-    pool size.
-    """
-    ident = MatP.identity(modulus)
-    closure = closure_of_generators([ident], cap=cap)
-    gens: list[MatP] = [ident]
-    for g in pool:
-        if g.modulus != modulus:
-            raise ModulusMismatch("pool element at a different modulus")
-        if closure.contains(g):
-            continue
-        gens.append(g)
-        closure = closure_of_generators(gens, cap=cap)
-    return closure
-
-
 def closure_of_generators(
     generators: Sequence[MatP], *, cap: int = DEFAULT_CLOSURE_CAP
 ) -> SubgroupClosure:
-    """BFS closure of the subgroup generated inside SL(2, Z/p^N)."""
+    """Closure of the subgroup generated inside SL(2, Z/p^N).
+
+    Generators are added one at a time with ``SubgroupClosure.extend``;
+    those already inside the running closure cost one membership lookup,
+    so a huge pool with a small generating set inside costs about as much
+    as that set.
+    """
     if not generators:
         raise ValueError("need at least one generator (use the identity for the trivial group)")
-    modulus = generators[0].modulus
+    closure = SubgroupClosure.trivial(generators[0].modulus)
     for g in generators:
-        if g.modulus != modulus:
-            raise ModulusMismatch("generators carry mixed moduli")
-        if g.det() != 1 % modulus.pN:
-            raise ValueError("generator has det != 1 mod p^N")
-    q = modulus.pN
-    gens = [_mat_to_tuple(g) for g in generators]
-    if q**4 <= 2**62:
-        codes = _closure_numpy(q, gens, cap)
-        return SubgroupClosure(q, codes, None)
-    elements = _closure_python(q, gens, cap)
-    return SubgroupClosure(q, None, elements)
+        closure = closure.extend(g, cap=cap)
+    return closure
+
+
+def closure_of_pool(
+    pool: Sequence[MatP], modulus: Modulus, *, cap: int = DEFAULT_CLOSURE_CAP
+) -> SubgroupClosure:
+    """``closure_of_generators`` for a pool that may be empty (the trivial
+    group of ``modulus``)."""
+    return closure_of_generators([MatP.identity(modulus), *pool], cap=cap)
 
 
 # ---------------------------------------------------------------------------
@@ -649,11 +793,15 @@ class GroupLevel:
 
 
 def group_level(
-    generators: Sequence[MatP], *, cap: int = DEFAULT_CLOSURE_CAP
+    generators: Sequence[MatP] | SubgroupClosure, *, cap: int = DEFAULT_CLOSURE_CAP
 ) -> GroupLevel:
-    """Level of the subgroup of SL(2, Z/p^N) generated by ``generators``."""
-    modulus = generators[0].modulus
-    closure = closure_of_generators(generators, cap=cap)
+    """Level of the subgroup of SL(2, Z/p^N) generated by ``generators``;
+    a precomputed closure may be passed instead, and is not closed again."""
+    if isinstance(generators, SubgroupClosure):
+        closure = generators
+    else:
+        closure = closure_of_generators(generators, cap=cap)
+    modulus = closure.modulus
     for n in range(0, modulus.N):
         probes = reduction_kernel_generators(modulus, n)
         if all(closure.contains(w) for w in probes):

@@ -69,6 +69,10 @@ class PreconditionViolation(PadicLieError):
     """A documented operation precondition does not hold."""
 
 
+class InvariantViolation(PadicLieError):
+    """A computed result breaks an invariant the code guarantees (a bug)."""
+
+
 class BracketClosureAnomaly(PadicLieError):
     """A span expected to be bracket-closed is not.
 

@@ -30,7 +30,7 @@ from .core import (
     residually_nilpotent,
     residually_unipotent,
 )
-from .errors import DomainViolation, PrecisionExceeded, UnsupportedPrime
+from .errors import DomainViolation, InvariantViolation, PrecisionExceeded, UnsupportedPrime
 
 
 @dataclass(frozen=True)
@@ -207,7 +207,8 @@ def exp_congruence(x: MatP) -> MatP:
     if _min_valuation(x) < w:
         raise DomainViolation(f"entries must have valuation >= {w} (p' domain)")
     result = _exp_series(x, _congruence_cutoff(x.modulus.p, x.modulus.N, w))
-    assert in_principal_congruence(result, min(w, x.modulus.N))
+    if not in_principal_congruence(result, min(w, x.modulus.N)):
+        raise InvariantViolation(f"exp of a p' element is not trivial mod p^{w}")
     return result
 
 

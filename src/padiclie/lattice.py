@@ -19,7 +19,7 @@ from itertools import product
 from typing import Iterator, Sequence
 
 from .core import AMBIENT_DIM, MatP, Modulus, int_valuation
-from .errors import PrecisionExceeded, PrecisionExhausted
+from .errors import InvariantViolation, PrecisionExceeded, PrecisionExhausted
 
 Vec = tuple[int, int, int]
 
@@ -54,21 +54,23 @@ def bracket(x: Vec, y: Vec, q: int) -> Vec:
     )
 
 
-def _assert_structure_constants() -> None:
+def _check_structure_constants() -> None:
     # antisymmetry and Jacobi, once at import time, over a wrap-free modulus
     q = 1 << 40
     for i, j in product(range(3), repeat=2):
         lhs = bracket(BASIS[i], BASIS[j], q)
-        assert lhs == tuple(c % q for c in STRUCTURE_CONSTANTS[(i, j)])
-        rhs = tuple((-c) % q for c in bracket(BASIS[j], BASIS[i], q))
-        assert lhs == rhs
+        if lhs != tuple(c % q for c in STRUCTURE_CONSTANTS[(i, j)]):
+            raise InvariantViolation(f"bracket disagrees with the table at {(i, j)}")
+        if lhs != tuple((-c) % q for c in bracket(BASIS[j], BASIS[i], q)):
+            raise InvariantViolation(f"bracket is not antisymmetric at {(i, j)}")
     for x, y, z in product(BASIS, repeat=3):
         s = vec_add(
             bracket(x, bracket(y, z, q), q),
             vec_add(bracket(y, bracket(z, x, q), q), bracket(z, bracket(x, y, q), q), q),
             q,
         )
-        assert s == (0, 0, 0)
+        if s != (0, 0, 0):
+            raise InvariantViolation(f"Jacobi identity fails on {(x, y, z)}")
 
 
 def vec_add(x: Vec, y: Vec, q: int) -> Vec:
@@ -332,6 +334,10 @@ class LieLattice:
             return False
         return self.contains_lattice(other) and other.contains_lattice(self)
 
+    def __hash__(self) -> int:
+        # equal lattices share modulus and divisors, whatever their bases
+        return hash((self.modulus, self.divisors))
+
     # -- derived lattices ---------------------------------------------------
 
     def saturated(self) -> "LieLattice":
@@ -435,4 +441,4 @@ def is_subalgebra_mod(lat: LieLattice, nu: int) -> bool:
     return True
 
 
-_assert_structure_constants()
+_check_structure_constants()

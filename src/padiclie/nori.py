@@ -39,6 +39,7 @@ from .core import (
 from .errors import (
     BracketClosureAnomaly,
     BudgetExceeded,
+    InvariantViolation,
     PreconditionViolation,
     UnsupportedPrime,
 )
@@ -69,23 +70,31 @@ def _tuple_to_mat(t: Tuple4, modulus: Modulus) -> MatP:
 
 @dataclass(frozen=True)
 class FpSubgroup:
-    """A subgroup of SL(2, F_p) as its canonical sorted element set."""
+    """A subgroup of SL(2, F_p) as its canonical sorted element set.
+
+    ``closure`` is the closure it was built from, when there is one; it
+    lets the subgroup be extended by a generator without closing again.
+    """
 
     p: int
     elements: frozenset[Tuple4]
     generator_record: tuple[Tuple4, ...] = ()
+    closure: SubgroupClosure | None = field(default=None, compare=False, repr=False)
 
     @classmethod
     def generated_by(cls, p: int, generators: Iterable[Tuple4]) -> "FpSubgroup":
         modulus = Modulus(p, 1)
         gens = tuple(generators)
         mats = [_tuple_to_mat(g, modulus) for g in gens] or [MatP.identity(modulus)]
-        closure = closure_of_generators(mats)
-        return cls(p, frozenset(closure.iter_tuples()), gens)
+        return cls.from_closure(closure_of_generators(mats), gens)
+
+    @classmethod
+    def from_closure(cls, closure: SubgroupClosure, record: tuple[Tuple4, ...]) -> "FpSubgroup":
+        return cls(closure.modulus.p, frozenset(closure.iter_tuples()), record, closure)
 
     @classmethod
     def trivial(cls, p: int) -> "FpSubgroup":
-        return cls(p, frozenset({(1, 0, 0, 1)}))
+        return cls.from_closure(SubgroupClosure.trivial(Modulus(p, 1)), ())
 
     @property
     def order(self) -> int:
@@ -192,13 +201,16 @@ def unipotent_elements(H: FpSubgroup) -> frozenset[Tuple4]:
 def h_plus(H: FpSubgroup) -> FpSubgroup:
     """The subgroup generated by the unipotent elements of H.
 
-    Its index in H is prime to p (asserted): it swallows the p-Sylow
+    Its index in H is prime to p (checked): it swallows the p-Sylow
     subgroups.
     """
     unips = unipotent_elements(H)
     result = FpSubgroup.generated_by(H.p, sorted(unips))
-    index = H.order // result.order
-    assert H.order % result.order == 0 and index % H.p != 0
+    index, rest = divmod(H.order, result.order)
+    if rest or index % H.p == 0:
+        raise InvariantViolation(
+            f"H+ of order {result.order} in H of order {H.order}: index not a prime-to-p integer"
+        )
     return result
 
 
@@ -235,10 +247,8 @@ def grpc_bar(L: FpLieSubalgebra) -> FpSubgroup:
         for v in L.elements()
         if _is_nilpotent_vec(v, L.p)
     ]
-    closure = closure_of_pool(pool, modulus)
-    return FpSubgroup(
-        L.p,
-        frozenset(closure.iter_tuples()),
+    return FpSubgroup.from_closure(
+        closure_of_pool(pool, modulus),
         tuple((m.rows[0][0], m.rows[0][1], m.rows[1][0], m.rows[1][1]) for m in pool),
     )
 
@@ -260,11 +270,13 @@ def sl2_fp_elements(p: int) -> list[Tuple4]:
 
 
 def enumerate_unipotent_generated(p: int, *, cap: int = DEFAULT_ENUM_CAP) -> list[FpSubgroup]:
-    """All subgroups H of SL(2, F_p) with H+ = H, by closing unipotent
-    generator sets until no new subgroup appears.
+    """All subgroups H of SL(2, F_p) with H+ = H, by extending the closures
+    of those found so far by one unipotent until no new subgroup appears.
 
     Every unipotent-generated subgroup arises by adding one unipotent at a
-    time, so the breadth-first sweep is complete.  The count is
+    time, so the breadth-first sweep is complete.  <H, u> = <H, x> for every
+    x in the double coset H u H, so one extension serves all of its
+    unipotents.  The count is
     cross-checked against the classification of subgroups of SL(2, F_p)
     containing p-elements: the trivial group, the p + 1 Sylow p-subgroups,
     and the full group, so p + 3 in total.
@@ -272,22 +284,27 @@ def enumerate_unipotent_generated(p: int, *, cap: int = DEFAULT_ENUM_CAP) -> lis
     if p not in (5, 7, 11, 13):
         raise BudgetExceeded("enumeration is budgeted for p in {5, 7, 11, 13}")
     full = FpSubgroup(p, frozenset(sl2_fp_elements(p)))
-    all_unips = sorted(unipotent_elements(full))
-    seen: dict[tuple, FpSubgroup] = {}
+    modulus = Modulus(p, 1)
+    all_unips = [(u, _tuple_to_mat(u, modulus)) for u in sorted(unipotent_elements(full))]
+    # a closure's sorted code array is canonical, so its bytes key the subgroup
+    seen: dict[bytes, FpSubgroup] = {}
     trivial = FpSubgroup.trivial(p)
-    seen[trivial.canonical()] = trivial
+    seen[trivial.closure.codes.tobytes()] = trivial
     frontier = [trivial]
     while frontier:
         nxt = []
         for H in frontier:
-            for u in all_unips:
-                if H.contains(u):
+            done = set(H.elements)  # unipotents u whose <H, u> is known
+            for u, umat in all_unips:
+                if u in done:
                     continue
-                extended = FpSubgroup.generated_by(p, (*H.generator_record, u))
-                key = extended.canonical()
+                closure = H.closure.extend(umat)
+                done |= H.closure.double_coset(umat)
+                key = closure.codes.tobytes()
                 if key not in seen:
                     if len(seen) + 1 > cap:
                         raise BudgetExceeded(f"subgroup count exceeded cap {cap}")
+                    extended = FpSubgroup.from_closure(closure, (*H.generator_record, u))
                     seen[key] = extended
                     nxt.append(extended)
         frontier = nxt
@@ -427,8 +444,8 @@ def resnilp_stratum(
 def grpc_padic(
     L: LieLattice, *, cap: int = DEFAULT_CLOSURE_CAP, enum_cap: int = DEFAULT_ENUM_CAP
 ) -> SubgroupClosure:
-    """BFS closure of the exponentials of the residually nilpotent stratum
-    of L (p >= 5).
+    """Closure of the exponentials of the residually nilpotent stratum of L
+    (p >= 5).
 
     The stratum is enumerated exactly at precision min(N, 3); for deeper N
     one refinement step is verified to add no new group elements, which
@@ -589,7 +606,7 @@ def roundtrip_check_padic(
 
         # level preservation on open subgroups
         if h.is_full_rank:
-            lvl = group_level(gens, cap=cap)
+            lvl = group_level(closure)
             if not lvl.attained or lvl.level != lattice_level(h):
                 report.failures.append(
                     {

@@ -23,7 +23,7 @@ from .core import (
     mat_inverse,
 )
 from .enumeration import _factorize, sl2_columns, sl2_point_count
-from .errors import BudgetExceeded, PreconditionViolation
+from .errors import BudgetExceeded, ModulusMismatch, PreconditionViolation
 from .lattice import BASIS, adjoint_matrix
 
 Tuple4 = tuple[int, int, int, int]
@@ -133,20 +133,13 @@ def _exponent_to_modulus(q: int, m: int) -> int:
 
 
 def predicate_closure(closure) -> Callable:
-    """Membership in an explicitly closed subgroup (sorted-code lookup)."""
-    codes = np.array(
-        sorted(((t[0] * closure.q + t[1]) * closure.q + t[2]) * closure.q + t[3]
-               for t in closure.iter_tuples()),
-        dtype=np.int64,
-    )
-    q0 = closure.q
+    """Membership in an explicitly closed subgroup (lookup in its sorted
+    codes)."""
 
     def inner(a, b, c, d, q):
-        assert q == q0
-        target = ((a * q + b) * q + c) * q + d
-        pos = np.searchsorted(codes, target)
-        pos[pos >= len(codes)] = len(codes) - 1
-        return codes[pos] == target
+        if q != closure.q:
+            raise ModulusMismatch(f"predicate evaluated mod {q}, closure lives mod {closure.q}")
+        return closure.contains_columns(a, b, c, d)
 
     return inner
 

@@ -101,6 +101,13 @@ def test_count_command_modes(capsys):
     assert code == 0 and rep["cases"][0]["count"] == 20
 
 
+def test_count_rejects_composite_p(capsys):
+    for mode in ("affine", "schmidt"):
+        code = main(["count", "--poly", "x0*x1-1", "--p", "9", "--n", "2", "--mode", mode])
+        assert code == 2
+        assert "not prime" in capsys.readouterr().err
+
+
 def test_nori_command(capsys):
     code, rep = _run(capsys, ["nori", "--p", "5"])
     assert code == 0

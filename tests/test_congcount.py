@@ -11,7 +11,13 @@ from padiclie import (
     schmidt_check,
 )
 from padiclie.congcount import random_polynomial
-from padiclie.errors import BudgetExceeded, IdenticallyZeroOnV, ZeroModP, ZeroPolynomial
+from padiclie.errors import (
+    BudgetExceeded,
+    IdenticallyZeroOnV,
+    PreconditionViolation,
+    ZeroModP,
+    ZeroPolynomial,
+)
 
 
 def test_parse_poly():
@@ -113,3 +119,14 @@ def test_sl2_count_deterministic():
     first = count_mod_p_on_sl2(f, 7)
     second = count_mod_p_on_sl2(f, 7)
     assert first == second
+
+
+def test_composite_p_is_rejected():
+    f = parse_poly("x0*x1-1")
+    for p in (1, 4, 9, 15):
+        with pytest.raises(PreconditionViolation):
+            count_affine(f, p, 2)
+        with pytest.raises(PreconditionViolation):
+            bound_a6(2, 2, p, 2)
+        with pytest.raises(PreconditionViolation):
+            schmidt_check(f, p)

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +10,9 @@ from padiclie import (
     MatP,
     Modulus,
     PadicScalar,
+    SubgroupClosure,
     closure_of_generators,
+    closure_of_pool,
     exp_congruence,
     group_level,
     in_principal_congruence,
@@ -18,7 +21,6 @@ from padiclie import (
     valuation,
 )
 from padiclie.core import (
-    _closure_numpy,
     _closure_python,
     _enumerate_reduction_kernel,
     random_congruence_element,
@@ -28,6 +30,7 @@ from padiclie.core import (
     sl2_order,
 )
 from padiclie.errors import (
+    ClosureBudgetExceeded,
     ModulusMismatch,
     NonUnit,
     PrecisionExceeded,
@@ -147,15 +150,109 @@ def test_residually_unipotent_examples_and_oracle():
         assert residually_unipotent(g) == residually_unipotent_by_power(g)
 
 
-def test_closure_backends_agree():
+def _generator_sets(moduli):
+    """(modulus, generators) pairs: one to three seeded elements of
+    SL(2, Z/p^N), each drawn from the whole group or from K(p)."""
+
+    @st.composite
+    def build(draw):
+        p, N = draw(st.sampled_from(moduli))
+        m = Modulus(p, N)
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        gens = []
+        for _ in range(draw(st.integers(1, 3))):
+            if draw(st.booleans()):
+                gens.append(random_sl2(rng, m))
+            else:
+                gens.append(random_congruence_element(rng, m, 1))
+        return m, gens
+
+    return build()
+
+
+def _tuples(gens):
+    return [g.as_tuple() for g in gens]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_generator_sets([(3, 2), (3, 3), (5, 2), (7, 2)]))
+def test_closure_backends_agree(case):
+    m, gens = case
+    closure = closure_of_generators(gens)
+    oracle = _closure_python(m.pN, _tuples(gens), 10**6)
+    assert list(closure.iter_tuples()) == sorted(oracle)
+    codes = closure.codes
+    assert codes.dtype == np.int64 and np.all(codes[1:] > codes[:-1])
+
+
+@settings(max_examples=25, deadline=None)
+@given(_generator_sets([(3, 2), (3, 3), (5, 2)]), st.randoms(use_true_random=False))
+def test_closure_extension_order_is_irrelevant(case, rnd):
+    m, gens = case
+    gens = gens + [MatP.identity(m), gens[0]]
+    whole = closure_of_generators(gens)
+    rnd.shuffle(gens)
+    closure = SubgroupClosure.trivial(m)
+    for g in gens:
+        bigger = closure.extend(g)
+        assert (bigger is closure) == closure.contains(g)
+        closure = bigger
+    assert np.array_equal(closure.codes, whole.codes)
+    assert len(closure.generators) <= len(gens)
+
+
+def test_double_coset_matches_products():
+    rng = random.Random(4)
+    m = Modulus(5, 1)
+    for rows in ([[1, 1], [0, 1]], [[2, 0], [0, 3]], [[0, 1], [4, 0]]) * 3:
+        H = closure_of_generators([MatP.of(rows, m)])
+        g = random_sl2(rng, m)
+        elems = [MatP.of([[a, b], [c, d]], m) for a, b, c, d in H.iter_tuples()]
+        expected = {(x @ g @ y).as_tuple() for x in elems for y in elems}
+        assert H.double_coset(g) == expected
+
+
+def test_closure_examples():
     m = Modulus(3, 2)
     gens = [MatP.of([[1, 1], [0, 1]], m), MatP.of([[1, 0], [1, 1]], m)]
-    fast = _closure_numpy(9, [(1, 1, 0, 1), (1, 0, 1, 1)], 10**6)
-    slow = _closure_python(9, [(1, 1, 0, 1), (1, 0, 1, 1)], 10**6)
-    assert set(fast.tolist()) == {
-        ((a * 9 + b) * 9 + c) * 9 + d for a, b, c, d in slow
-    }
     assert closure_of_generators(gens).order == sl2_order(3, 2)
+    assert closure_of_pool([], m).order == 1
+    assert closure_of_pool(gens, m).order == sl2_order(3, 2)
+    with pytest.raises(ModulusMismatch):
+        closure_of_pool([MatP.identity(Modulus(3, 3))], m)
+
+
+def test_closure_python_int_codes():
+    # q^4 > 2^62: codes are Python integers; <u, -1> has order 2q
+    q = 46349
+    m = Modulus(q, 1)
+    u, minus = MatP.of([[1, 1], [0, 1]], m), MatP.of([[-1, 0], [0, -1]], m)
+    for gens in ([u, minus], [minus, u]):
+        closure = closure_of_generators(gens)
+        assert closure.codes.dtype == object and closure.order == 2 * q
+        assert closure.contains(MatP.of([[-1, -5], [0, -1]], m))
+        assert not closure.contains(MatP.of([[1, 0], [1, 1]], m))
+    assert list(closure.iter_tuples()) == sorted(_closure_python(q, _tuples(gens), 10**6))
+
+
+@pytest.mark.parametrize(
+    "p, N, rows",
+    [
+        (3, 4, [[[1, 1], [0, 1]]]),  # one cyclic stage
+        (3, 3, [[[1, 3], [0, 1]], [[1, 0], [3, 1]], [[4, 0], [0, 7]]]),  # K(3) mod 27
+        (5, 2, [[[1, 1], [0, 1]], [[1, 0], [1, 1]]]),  # Dimino rounds
+        (46349, 1, [[[1, 1], [0, 1]], [[-1, 0], [0, -1]]]),  # Python-int codes
+    ],
+)
+def test_closure_budget_boundary(p, N, rows):
+    m = Modulus(p, N)
+    gens = [MatP.of(r, m) for r in rows]
+    order = closure_of_generators(gens).order
+    assert closure_of_generators(gens, cap=order).order == order
+    with pytest.raises(ClosureBudgetExceeded):
+        closure_of_generators(gens, cap=order - 1)
+    with pytest.raises(ClosureBudgetExceeded):
+        _closure_python(m.pN, _tuples(gens), order - 1)
 
 
 def test_group_level_examples():
@@ -194,6 +291,7 @@ def test_group_level_full_group():
     m = Modulus(3, 2)
     gens = [MatP.of([[1, 1], [0, 1]], m), MatP.of([[1, 0], [1, 1]], m)]
     assert group_level(gens).level == 0
+    assert group_level(closure_of_generators(gens)) == group_level(gens)
 
 
 def test_matrix_json_literals():

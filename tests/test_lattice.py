@@ -179,3 +179,13 @@ def test_point_enumeration_matches_count():
     assert len(points) == len(set(points)) == L.point_count()
     for v in points:
         assert membership_mod(L, v, m.N)
+
+
+def test_equal_lattices_hash_equal():
+    m = Modulus(5, 2)
+    a = LieLattice.from_columns([(1, 0, 0), (0, 1, 0), (0, 0, 1)], m)
+    b = LieLattice.from_columns([(1, 1, 0), (0, 1, 0), (0, 0, 1)], m)
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    c = LieLattice.from_columns([(5, 0, 0), (0, 1, 0), (0, 0, 1)], m)
+    assert c != a and len({a, b, c}) == 2
