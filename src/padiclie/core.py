@@ -403,6 +403,64 @@ def residually_nilpotent(x: MatP) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Element columns: many 2x2 elements as entry columns (a, b, c, d)
+# ---------------------------------------------------------------------------
+
+
+def column_dtype(bound: int):
+    """int64 when every value a column computation forms stays below
+    ``bound`` <= 2^62, else object (Python integers), so exactness is never
+    traded for speed."""
+    return np.int64 if bound <= 2**62 else object
+
+
+def as_columns(cols, bound: int) -> tuple[np.ndarray, ...]:
+    """The columns at ``column_dtype(bound)``."""
+    dtype = column_dtype(bound)
+    return tuple(np.asarray(x).astype(dtype, copy=False) for x in cols)
+
+
+def mul_columns(x, y, q):
+    """Entrywise-broadcast product of two element columns x, y (or tuples)."""
+    a, b, c, d = x
+    e, f, g, h = y
+    return (
+        (a * e + b * g) % q,
+        (a * f + b * h) % q,
+        (c * e + d * g) % q,
+        (c * f + d * h) % q,
+    )
+
+
+def in_principal_congruence_columns(cols, q_m: int) -> np.ndarray:
+    """``in_principal_congruence`` on entry columns: the mask of elements
+    trivial modulo q_m = p^m."""
+    a, b, c, d = cols
+    return ((a - 1) % q_m == 0) & (b % q_m == 0) & (c % q_m == 0) & ((d - 1) % q_m == 0)
+
+
+def residually_unipotent_columns(cols, p: int) -> np.ndarray:
+    """``residually_unipotent`` on entry columns: (g - 1)^2 = 0 mod p."""
+    a, b, c, d = (x % p for x in cols)
+    bc = b * c
+    t = a + d - 2
+    return (
+        (((a - 1) * (a - 1) + bc) % p == 0)
+        & (b * t % p == 0)
+        & (c * t % p == 0)
+        & (((d - 1) * (d - 1) + bc) % p == 0)
+    )
+
+
+def residually_nilpotent_columns(cols, p: int) -> np.ndarray:
+    """``residually_nilpotent`` on entry columns: x^2 = 0 mod p."""
+    a, b, c, d = (x % p for x in cols)
+    bc = b * c
+    t = a + d
+    return ((a * a + bc) % p == 0) & (b * t % p == 0) & (c * t % p == 0) & ((d * d + bc) % p == 0)
+
+
+# ---------------------------------------------------------------------------
 # Subgroup closures in SL(2, Z/q)
 # ---------------------------------------------------------------------------
 
@@ -423,24 +481,18 @@ def _encode(a, b, c, d, q):
     return ((a * q + b) * q + c) * q + d
 
 
+def element_codes(cols, q: int) -> np.ndarray:
+    """Codes ((a q + b) q + c) q + d of entry columns (residues in [0, q)),
+    at the dtype a closure mod q stores them in."""
+    return _encode(*as_columns(cols, q**4), q)
+
+
 def _decode(codes: np.ndarray, q: int):
     d = codes % q
     r = codes // q
     c = r % q
     r //= q
     return r // q, r % q, c, d
-
-
-def _times(x, y, q):
-    """Entrywise-broadcast product of two element columns x, y (or tuples)."""
-    a, b, c, d = x
-    e, f, g, h = y
-    return (
-        (a * e + b * g) % q,
-        (a * f + b * h) % q,
-        (c * e + d * g) % q,
-        (c * f + d * h) % q,
-    )
 
 
 def _isin_sorted(sorted_codes: np.ndarray, codes: np.ndarray) -> np.ndarray:
@@ -487,7 +539,7 @@ def _cosets(h, reps, q: int) -> np.ndarray:
     h = tuple(x[None, :] for x in h)
     chunk = max(1, _BLOCK_CODES // order_h)
     blocks = [
-        _encode(*_times(h, tuple(x[lo:lo + chunk, None] for x in reps), q), q).ravel()
+        _encode(*mul_columns(h, tuple(x[lo:lo + chunk, None] for x in reps), q), q).ravel()
         for lo in range(0, len(reps[0]), chunk)
     ]
     return np.concatenate(blocks)
@@ -506,7 +558,7 @@ def _doubling_codes(h_codes: np.ndarray, g: Tuple4, q: int, cap: int) -> np.ndar
     reps = tuple(np.array([x], dtype=h_codes.dtype) for x in (1, 0, 0, 1))
     step = g  # g^k
     while True:
-        block = _times(reps, step, q)  # g^(k + i) for i < k
+        block = mul_columns(reps, step, q)  # g^(k + i) for i < k
         hits = np.flatnonzero(_isin_sorted(h_codes, _encode(*block, q)))
         take = int(hits[0]) if hits.size else len(reps[0])
         size = (len(reps[0]) + take) * order_h
@@ -515,7 +567,7 @@ def _doubling_codes(h_codes: np.ndarray, g: Tuple4, q: int, cap: int) -> np.ndar
         reps = tuple(np.concatenate((x, y[:take])) for x, y in zip(reps, block))
         if hits.size:
             return np.sort(_cosets(_decode(h_codes, q), reps, q))
-        step = _times(step, step, q)
+        step = mul_columns(step, step, q)
 
 
 def _dimino_codes(
@@ -539,7 +591,7 @@ def _dimino_codes(
     known = _SortedRuns(h_codes)
     frontier = tuple(np.array([x], dtype=dtype) for x in (1, 0, 0, 1))
     while len(frontier[0]):
-        cand = tuple(x.ravel() for x in _times(tuple(x[:, None] for x in frontier), s, q))
+        cand = tuple(x.ravel() for x in mul_columns(tuple(x[:, None] for x in frontier), s, q))
         codes, first = np.unique(_encode(*cand, q), return_index=True)
         keep = first[known.missing(codes)]
         cand = tuple(x[keep] for x in cand)
@@ -549,7 +601,7 @@ def _dimino_codes(
             if lo:  # cosets found earlier in this round may hold some
                 fresh = known.missing(_encode(*piece, q)[:, 0])
                 piece = tuple(x[fresh] for x in piece)
-            cosets = _encode(*_times(h, piece, q), q)  # row j: H.t_j
+            cosets = _encode(*mul_columns(h, piece, q), q)  # row j: H.t_j
             _, first = np.unique(cosets.min(axis=1), return_index=True)
             if known.size + len(first) * order_h > cap:
                 raise _over_cap(known.size + len(first) * order_h, cap)
@@ -570,7 +622,8 @@ class SubgroupClosure:
     generator g that is not yet a member extends the closure H to <H, g>
     by one Dimino stage, the union of the right cosets of H.  ``extend``
     runs that stage on a closure that already exists, so growing a
-    subgroup one generator at a time never starts over.
+    subgroup one generator at a time never starts over; ``extend_by_pool``
+    does so for a pool of elements given as entry columns.
 
     Elements are stored as one sorted array of codes
     ((a q + b) q + c) q + d: int64 when q**4 fits, Python integers in an
@@ -587,8 +640,7 @@ class SubgroupClosure:
     @classmethod
     def trivial(cls, modulus: Modulus) -> "SubgroupClosure":
         q = modulus.pN
-        dtype = np.int64 if q**4 <= 2**62 else object
-        return cls(modulus, (), np.array([_encode(1, 0, 0, 1, q)], dtype=dtype))
+        return cls(modulus, (), np.array([_encode(1, 0, 0, 1, q)], dtype=column_dtype(q**4)))
 
     @property
     def order(self) -> int:
@@ -614,19 +666,47 @@ class SubgroupClosure:
         t = _mat_to_tuple(g)
         if self.contains_tuple(t):
             return self
+        return self._extend(t, cap)
+
+    def extend_by_pool(self, pool, *, cap: int = DEFAULT_CLOSURE_CAP) -> "SubgroupClosure":
+        """The closure of H and a pool of elements given by entry columns.
+
+        Extends by the first non-member in pool order, then tests the rest of
+        the pool against the grown closure with one ``contains_columns`` call,
+        until no non-member is left: the same stages, generators and
+        elements as extending by each pool element in turn.
+        """
+        q = self.q
+        pool = as_columns(pool, 2 * q * q)
+        a, b, c, d = pool
+        if any(np.any((x < 0) | (x >= q)) for x in pool):
+            raise ValueError(f"pool entries must be residues in [0, {q})")
+        if np.any((a * d - b * c) % q != 1 % q):
+            raise ValueError("pool element has det != 1 mod p^N")
+        closure = self
+        rest = np.flatnonzero(~closure.contains_columns(*pool))
+        while rest.size:
+            closure = closure._extend(tuple(int(x[rest[0]]) for x in pool), cap)
+            rest = rest[1:]
+            rest = rest[~closure.contains_columns(*(x[rest] for x in pool))]
+        return closure
+
+    def _extend(self, t: Tuple4, cap: int) -> "SubgroupClosure":
+        """One stage by a non-member t of determinant one."""
         gens = (*self.generators, t)
-        if self._normalizes(g):
+        if self._normalizes(t):
             codes = _doubling_codes(self._codes, t, self.q, cap)
         else:
             codes = _dimino_codes(self._codes, gens, self.q, cap)
         return SubgroupClosure(self.modulus, gens, codes)
 
-    def _normalizes(self, g: MatP) -> bool:
-        """Whether g H g^-1 = H, tested on the generators of H."""
-        g_inv = mat_inverse(g)
+    def _normalizes(self, t: Tuple4) -> bool:
+        """Whether t H t^-1 = H, tested on the generators of H."""
         q = self.q
+        a, b, c, d = t
+        t_inv = (d, -b % q, -c % q, a)  # det t = 1
         return all(
-            self.contains_tuple(_times(_times(_mat_to_tuple(g), s, q), _mat_to_tuple(g_inv), q))
+            self.contains_tuple(mul_columns(mul_columns(t, s, q), t_inv, q))
             for s in self.generators
         )
 
@@ -643,8 +723,12 @@ class SubgroupClosure:
     def contains_columns(self, a, b, c, d) -> np.ndarray:
         """Membership mask of the elements with entry columns a, b, c, d
         (residues in [0, q))."""
-        cols = (np.asarray(x).astype(self._codes.dtype, copy=False) for x in (a, b, c, d))
-        return _isin_sorted(self._codes, _encode(*cols, self.q))
+        return _isin_sorted(self._codes, element_codes((a, b, c, d), self.q))
+
+    def columns(self) -> tuple[np.ndarray, ...]:
+        """The elements as entry columns (a, b, c, d), in increasing code
+        order."""
+        return _decode(self._codes, self.q)
 
     def iter_tuples(self) -> Iterator[Tuple4]:
         """The elements as (a, b, c, d), in increasing code order."""
@@ -654,8 +738,8 @@ class SubgroupClosure:
         """H g H, from all |H|^2 products; <H, x> = <H, g> for each x in it."""
         q = self.q
         h = _decode(self._codes, q)
-        left = _times(h, _mat_to_tuple(g), q)
-        cols = _times(tuple(x[:, None] for x in left), tuple(x[None, :] for x in h), q)
+        left = mul_columns(h, _mat_to_tuple(g), q)
+        cols = mul_columns(tuple(x[:, None] for x in left), tuple(x[None, :] for x in h), q)
         return frozenset(_iter_tuples(np.unique(_encode(*cols, q)), q))
 
 

@@ -5,7 +5,9 @@ Four flavours live here:
 * ``exp_congruence`` / ``log_congruence`` between p'.gl(2, Z/p^N) and the
   congruence group {g = 1 mod p'} (p' = p odd, 4 at p = 2);
 * ``exp_extended`` / ``log_extended`` between residually nilpotent matrices
-  and residually unipotent group elements (p >= 5);
+  and residually unipotent group elements (p >= 5), with the column forms
+  ``exp_extended_columns`` / ``log_extended_columns`` on many elements at
+  once;
 * ``exp_trunc`` / ``log_trunc``, the degree-(p-1) truncations over F_p on
   nilpotents/unipotents;
 * ``exp_congruence_classes``, the induced map on classes mod p^n.
@@ -13,8 +15,17 @@ Four flavours live here:
 Series are summed to a static cutoff chosen so every discarded term has
 guaranteed valuation >= N, and division by k (or k!) is performed as exact
 division by the p-part followed by a unit inverse.  The computation runs at
-a widened working modulus p^(N+V) so those divisions never lose a digit the
-answer needs; results are exact mod p^N, with no tolerance anywhere.
+a widened working modulus p^W, W = N + V, so those divisions never lose a
+digit the answer needs; results are exact mod p^N, with no tolerance
+anywhere.
+
+The column kernels run the scalar series (``_exp_series_raw``,
+``_log_series_raw``, which stay as the oracle) on entry columns
+(a, b, c, d): the same division table, cutoff and per-term divisibility
+check, raising ``DomainViolation`` if any element fails it.  A term entry
+is a sum of two products of residues below p^W, so the columns are int64
+when 2 p^(2W) < 2^62 and object arrays of Python integers otherwise.  They
+run a bounded block of elements at a time.
 """
 
 from __future__ import annotations
@@ -23,12 +34,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 from .core import (
     MatP,
+    Modulus,
+    as_columns,
     in_principal_congruence,
     int_valuation,
+    mul_columns,
     residually_nilpotent,
+    residually_nilpotent_columns,
     residually_unipotent,
+    residually_unipotent_columns,
 )
 from .errors import DomainViolation, InvariantViolation, PrecisionExceeded, UnsupportedPrime
 
@@ -178,6 +196,76 @@ def _log_series_raw(
     return (sa % pN, sb % pN, sc % pN, sd % pN)
 
 
+# Column kernels hold at most this many elements at a time.
+_BLOCK_ELEMENTS = 1 << 14
+
+
+def _in_blocks(kernel, cols, *args) -> tuple[np.ndarray, ...]:
+    n = len(cols[0])
+    parts = [kernel(tuple(x[lo:lo + _BLOCK_ELEMENTS] for x in cols), *args)
+             for lo in range(0, n, _BLOCK_ELEMENTS)]
+    if not parts:
+        return tuple(np.zeros(0, dtype=np.int64) for _ in range(4))
+    return tuple(np.concatenate(col) for col in zip(*parts))
+
+
+def _divided(n, pa: int, uinv: int, pW: int):
+    """The term n / k = (n / p^a) u^-1 mod p^W for k = p^a u, after the
+    divisibility check."""
+    if pa == 1:
+        return tuple(v * uinv % pW for v in n)
+    if any(np.any(v % pa) for v in n):
+        raise DomainViolation(
+            "series term not divisible by the p-part of k; input outside the domain"
+        )
+    return tuple(v // pa * uinv % pW for v in n)
+
+
+# The partial sums below are reduced once, at the end: fewer than
+# ``cutoff`` terms below p^W each keep them far from overflow, and p^N
+# divides p^W.  A term that vanishes mod p^W makes every later one vanish.
+
+
+def _exp_block(x, pW: int, pN: int, table):
+    x = tuple(v % pW for v in as_columns(x, 2 * pW * pW))
+    one, zero = np.ones_like(x[0]), np.zeros_like(x[0])
+    t = s = (one, zero, zero, one)
+    for pa, uinv, _ in table:
+        t = _divided(mul_columns(t, x, pW), pa, uinv, pW)
+        if not any(v.any() for v in t):
+            break
+        s = tuple(u + v for u, v in zip(s, t))
+    return tuple(v % pN for v in s)
+
+
+def _log_block(g, pW: int, pN: int, table):
+    a, b, c, d = as_columns(g, 2 * pW * pW)
+    y = ((a - 1) % pW, b % pW, c % pW, (d - 1) % pW)
+    one, zero = np.ones_like(a), np.zeros_like(a)
+    t = (one, zero, zero, one)
+    s = (zero, zero, zero, zero)
+    sign = 1
+    for pa, uinv, _ in table:
+        t = mul_columns(t, y, pW)
+        if not any(v.any() for v in t):
+            break
+        s = tuple(u + sign * v for u, v in zip(s, _divided(t, pa, uinv, pW)))
+        sign = -sign
+    return tuple(v % pN for v in s)
+
+
+def _exp_series_columns(x, p: int, N: int, cutoff: int) -> tuple[np.ndarray, ...]:
+    """``_exp_series_raw`` on entry columns x = (a, b, c, d)."""
+    W = N + vp_factorial(cutoff - 1, p)
+    return _in_blocks(_exp_block, x, p**W, p**N, _division_table(p, W, cutoff))
+
+
+def _log_series_columns(g, p: int, N: int, cutoff: int) -> tuple[np.ndarray, ...]:
+    """``_log_series_raw`` on entry columns g = (a, b, c, d)."""
+    W = _log_working_precision(p, N, cutoff)
+    return _in_blocks(_log_block, g, p**W, p**N, _division_table(p, W, cutoff))
+
+
 def _exp_series(x: MatP, cutoff: int) -> MatP:
     p, N = x.modulus.p, x.modulus.N
     if x.size != 2:
@@ -255,6 +343,28 @@ def log_extended(g: MatP | UnipotentResidue) -> NilpotentResidue:
     if not residually_unipotent(mat):
         raise DomainViolation("input is not residually unipotent")
     return NilpotentResidue(_log_series(mat, _resnilp_cutoff(mat.modulus.p, mat.modulus.N)))
+
+
+def exp_extended_columns(x, modulus: Modulus) -> tuple[np.ndarray, ...]:
+    """``exp_extended`` on the residually nilpotent matrices with entry
+    columns x = (a, b, c, d), residues mod p^N; returns their columns."""
+    p, N = modulus.p, modulus.N
+    _require_extended_prime(p)
+    x = tuple(np.asarray(v) for v in x)
+    if not residually_nilpotent_columns(x, p).all():
+        raise DomainViolation("input is not residually nilpotent")
+    return _exp_series_columns(x, p, N, _resnilp_cutoff(p, N))
+
+
+def log_extended_columns(g, modulus: Modulus) -> tuple[np.ndarray, ...]:
+    """``log_extended`` on the residually unipotent elements with entry
+    columns g = (a, b, c, d), residues mod p^N; returns their columns."""
+    p, N = modulus.p, modulus.N
+    _require_extended_prime(p)
+    g = tuple(np.asarray(v) for v in g)
+    if not residually_unipotent_columns(g, p).all():
+        raise DomainViolation("input is not residually unipotent")
+    return _log_series_columns(g, p, N, _resnilp_cutoff(p, N))
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import prod
 from typing import Iterator, Sequence
 
-from .core import AMBIENT_DIM, MatP, Modulus, int_valuation
+import numpy as np
+
+from .core import AMBIENT_DIM, MatP, Modulus, as_columns, column_dtype, int_valuation
 from .errors import InvariantViolation, PrecisionExceeded, PrecisionExhausted
 
 Vec = tuple[int, int, int]
@@ -388,6 +391,13 @@ class LieLattice:
                 v = vec_add(v, vec_scale(t, g, pN), pN)
             yield v
 
+    def point_columns(self) -> tuple[np.ndarray, ...]:
+        """``iter_points`` as coordinate columns (x, y, z), in the same
+        order."""
+        N = self.modulus.N
+        sizes = [self.modulus.p ** (N - d) for d in self.divisors if d < N]
+        return combination_columns(self.generators, sizes, self.modulus.pN)
+
     def __repr__(self) -> str:
         return (
             f"LieLattice(p={self.modulus.p}, N={self.modulus.N}, "
@@ -426,6 +436,53 @@ def membership_mod(lat: LieLattice, v: Vec, m: int) -> bool:
         if need > 0 and int_valuation(ti, p, N) < need:
             return False
     return True
+
+
+def membership_mod_columns(lat: LieLattice, v, m: int) -> np.ndarray:
+    """``membership_mod`` on coordinate columns v = (x, y, z): the mask of
+    the vectors in L + p^m * sl2."""
+    if not 0 <= m <= lat.modulus.N:
+        raise PrecisionExceeded(f"m = {m} outside [0, {lat.modulus.N}]")
+    p, q = lat.modulus.p, lat.modulus.pN
+    x, y, z = as_columns(v, 3 * q * q)
+    mask = np.ones(len(x), dtype=bool)
+    for (r0, r1, r2), d in zip(lat.adapted_inverse, lat.divisors):
+        need = min(d, m)
+        if need > 0:
+            mask &= (r0 * x + r1 * y + r2 * z) % p**need == 0  # p^need divides q
+    return mask
+
+
+def combination_columns(
+    gens: Sequence[Vec], sizes: Sequence[int], q: int, index: np.ndarray | None = None
+) -> tuple[np.ndarray, ...]:
+    """Coordinate columns of the sums t_1 g_1 + t_2 g_2 + ... mod q with
+    0 <= t_i < sizes[i], in ``itertools.product`` order (the last t varies
+    fastest): all of them, or those at the flat positions ``index``."""
+    stride = prod(sizes)
+    if index is None:
+        index = np.arange(stride)
+    dtype = column_dtype(2 * q * q)
+    cols = tuple(np.zeros(len(index), dtype=dtype) for _ in range(3))
+    for g, size in zip(gens, sizes):
+        stride //= size
+        t = (index // stride % size).astype(dtype)
+        cols = tuple((x + t * gi) % q for x, gi in zip(cols, g))
+    return cols
+
+
+def mat_to_vec_columns(cols, q: int) -> tuple[np.ndarray, ...]:
+    """``mat_to_vec`` on entry columns (a, b, c, d) of trace-zero matrices."""
+    a, b, c, d = cols
+    if np.any((a + d) % q):
+        raise ValueError("matrix is not trace zero")
+    return (b, a, c)
+
+
+def vec_to_mat_columns(v, q: int) -> tuple[np.ndarray, ...]:
+    """``vec_to_mat`` on coordinate columns v = (x, y, z)."""
+    x, y, z = v
+    return (y % q, x % q, z % q, -y % q)
 
 
 def is_subalgebra_mod(lat: LieLattice, nu: int) -> bool:

@@ -22,7 +22,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Callable, Iterable, Iterator, Sequence
+from math import prod
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .core import (
     DEFAULT_CLOSURE_CAP,
@@ -30,30 +33,36 @@ from .core import (
     MatP,
     Modulus,
     SubgroupClosure,
+    as_columns,
     closure_of_generators,
     closure_of_pool,
+    element_codes,
     group_level,
-    in_principal_congruence,
-    residually_unipotent,
+    in_principal_congruence_columns,
+    residually_unipotent_columns,
 )
+from .enumeration import sl2_columns
 from .errors import (
     BracketClosureAnomaly,
     BudgetExceeded,
     InvariantViolation,
-    PreconditionViolation,
     UnsupportedPrime,
 )
-from .explog import exp_extended, exp_trunc, log_extended, log_trunc
+from .explog import exp_extended_columns, exp_trunc, log_extended_columns, log_trunc
 from .lattice import (
     LieLattice,
     Vec,
     bracket,
+    combination_columns,
     lattice_level,
     mat_to_vec,
+    mat_to_vec_columns,
     membership_mod,
+    membership_mod_columns,
     vec_add,
     vec_scale,
     vec_to_mat,
+    vec_to_mat_columns,
 )
 
 Tuple4 = tuple[int, int, int, int]
@@ -253,22 +262,6 @@ def grpc_bar(L: FpLieSubalgebra) -> FpSubgroup:
     )
 
 
-def sl2_fp_elements(p: int) -> list[Tuple4]:
-    """All of SL(2, F_p) by direct solve (a unit forces d; else b is a unit)."""
-    out = []
-    for a in range(p):
-        for b in range(p):
-            for c in range(p):
-                if a % p != 0:
-                    d = (pow(a, -1, p) * (1 + b * c)) % p
-                    out.append((a, b, c, d))
-                elif b % p != 0:
-                    for d in range(p):
-                        if (a * d - b * c) % p == 1:
-                            out.append((a, b, c, d))
-    return out
-
-
 def enumerate_unipotent_generated(p: int, *, cap: int = DEFAULT_ENUM_CAP) -> list[FpSubgroup]:
     """All subgroups H of SL(2, F_p) with H+ = H, by extending the closures
     of those found so far by one unipotent until no new subgroup appears.
@@ -283,9 +276,13 @@ def enumerate_unipotent_generated(p: int, *, cap: int = DEFAULT_ENUM_CAP) -> lis
     """
     if p not in (5, 7, 11, 13):
         raise BudgetExceeded("enumeration is budgeted for p in {5, 7, 11, 13}")
-    full = FpSubgroup(p, frozenset(sl2_fp_elements(p)))
     modulus = Modulus(p, 1)
-    all_unips = [(u, _tuple_to_mat(u, modulus)) for u in sorted(unipotent_elements(full))]
+    cols = sl2_columns(p)
+    unipotent = residually_unipotent_columns(cols, p)
+    all_unips = [
+        (u, _tuple_to_mat(u, modulus))
+        for u in sorted(zip(*(x[unipotent].tolist() for x in cols)))
+    ]
     # a closure's sorted code array is canonical, so its bytes key the subgroup
     seen: dict[bytes, FpSubgroup] = {}
     trivial = FpSubgroup.trivial(p)
@@ -358,6 +355,16 @@ def _all_subspaces(p: int) -> Iterator[tuple[Vec, ...]]:
 # ---------------------------------------------------------------------------
 
 
+# The stratum is enumerated this many classes at a time.
+_STRATUM_BLOCK = 1 << 16
+
+
+def _vec_codes(v, q: int) -> np.ndarray:
+    """Codes (x q + y) q + z of coordinate columns, one per vector."""
+    x, y, z = as_columns(v, q**3)
+    return (x * q + y) * q + z
+
+
 def liec_padic(
     generators: Sequence[MatP] | SubgroupClosure,
     modulus: Modulus | None = None,
@@ -367,8 +374,10 @@ def liec_padic(
     """Span of the logarithms of all residually unipotent elements of the
     generated subgroup, as a lattice at precision N (p >= 5).
 
-    Bracket closure at precision N - 1 is asserted; a failure raises an
-    anomaly carrying the witness bracket.
+    The span grows greedily in code order: the first logarithm outside the
+    lattice so far joins the spanning list, the lattice is rebuilt, and the
+    rest are tested again.  Bracket closure at precision N - 1 is asserted;
+    a failure raises an anomaly carrying the witness bracket.
     """
     if isinstance(generators, SubgroupClosure):
         closure = generators
@@ -379,16 +388,18 @@ def liec_padic(
         closure = closure_of_generators(generators, cap=cap)
     if modulus.p < 5:
         raise UnsupportedPrime("precision-N correspondence needs p >= 5")
+    cols = closure.columns()
+    resunip = residually_unipotent_columns(cols, modulus.p)
+    logs = log_extended_columns(tuple(x[resunip] for x in cols), modulus)
+    v = mat_to_vec_columns(logs, modulus.pN)
     span_cols: list[Vec] = []
     lattice = LieLattice.from_columns([], modulus)
-    for t in closure.iter_tuples():
-        g = _tuple_to_mat(t, modulus)
-        if not residually_unipotent(g):
-            continue
-        v = mat_to_vec(log_extended(g).matrix)
-        if not membership_mod(lattice, v, modulus.N):
-            span_cols.append(v)
-            lattice = LieLattice.from_columns(span_cols, modulus)
+    rest = np.flatnonzero(~membership_mod_columns(lattice, v, modulus.N))
+    while rest.size:
+        span_cols.append(tuple(int(x[rest[0]]) for x in v))
+        lattice = LieLattice.from_columns(span_cols, modulus)
+        rest = rest[1:]
+        rest = rest[~membership_mod_columns(lattice, tuple(x[rest] for x in v), modulus.N)]
     gens = lattice.generators
     q = modulus.pN
     for i in range(len(gens)):
@@ -405,40 +416,33 @@ def liec_padic(
 
 def resnilp_stratum(
     L: LieLattice, *, sample_exponent: int | None = None, cap: int = DEFAULT_ENUM_CAP
-) -> list[Vec]:
+) -> tuple[np.ndarray, ...]:
     """Representatives of the residually nilpotent elements of L, complete
-    modulo p^min(N, 3) (or the requested exponent).
+    modulo p^min(N, 3) (or the requested exponent), as coordinate columns.
 
-    Enumerates the image of L modulo p^s through its adapted generators and
-    keeps the classes whose mod-p reduction is nilpotent, lifted by their
-    canonical representatives.
+    Enumerates the image of L modulo p^s through its adapted generators, a
+    bounded block at a time, and keeps the classes whose mod-p reduction is
+    nilpotent, lifted by their canonical representatives, each at its first
+    occurrence in enumeration order.
     """
     modulus = L.modulus
     p, N = modulus.p, modulus.N
     s = min(N, 3) if sample_exponent is None else min(sample_exponent, N)
     ps = p**s
-    gens = L.generators
-    ranges = []
-    for d in L.divisors:
-        if d < N:
-            ranges.append(range(p ** max(s - d, 0)))
-    total = 1
-    for r in ranges:
-        total *= len(r)
+    sizes = [p ** max(s - d, 0) for d in L.divisors if d < N]
+    total = prod(sizes)
     if total > cap:
         raise BudgetExceeded(f"stratum enumeration size {total} exceeds cap {cap}")
-    out = []
-    seen = set()
-    for ts in product(*ranges):
-        v = (0, 0, 0)
-        for t, g in zip(ts, gens):
-            v = vec_add(v, vec_scale(t, g, ps), ps)
-        if v in seen:
-            continue
-        seen.add(v)
-        if _is_nilpotent_vec(v, p):
-            out.append(v)
-    return out
+    parts = []
+    for lo in range(0, total, _STRATUM_BLOCK):
+        index = np.arange(lo, min(lo + _STRATUM_BLOCK, total))
+        a, b, c = combination_columns(L.generators, sizes, ps, index)
+        nilpotent = (b * b + a * c) % p == 0  # as in _is_nilpotent_vec
+        parts.append((a[nilpotent], b[nilpotent], c[nilpotent]))
+    v = tuple(np.concatenate(col) for col in zip(*parts))
+    _, first = np.unique(_vec_codes(v, ps), return_index=True)
+    first.sort()
+    return tuple(x[first] for x in v)
 
 
 def grpc_padic(
@@ -455,26 +459,36 @@ def grpc_padic(
     p, N = modulus.p, modulus.N
     if p < 5:
         raise UnsupportedPrime("precision-N correspondence needs p >= 5")
+    q = modulus.pN
     s = min(N, 3)
     reps = resnilp_stratum(L, sample_exponent=s, cap=enum_cap)
-    pool = [exp_extended(vec_to_mat(v, modulus)).matrix for v in reps]
-    closure = closure_of_pool(pool, modulus, cap=cap)
+    pool = exp_extended_columns(vec_to_mat_columns(reps, q), modulus)
+    closure = SubgroupClosure.trivial(modulus).extend_by_pool(pool, cap=cap)
     if N > s:
         refined = resnilp_stratum(L, sample_exponent=s + 1, cap=enum_cap)
-        for v in refined:
-            g = exp_extended(vec_to_mat(v, modulus)).matrix
-            if not closure.contains(g):
-                raise BracketClosureAnomaly(
-                    "stratum refinement escaped the closure; raise the sample depth",
-                    p=p,
-                    witness=v,
-                )
+        g = exp_extended_columns(vec_to_mat_columns(refined, q), modulus)
+        escaped = np.flatnonzero(~closure.contains_columns(*g))
+        if escaped.size:
+            raise BracketClosureAnomaly(
+                "stratum refinement escaped the closure; raise the sample depth",
+                p=p,
+                witness=tuple(int(x[escaped[0]]) for x in refined),
+            )
     return closure
 
 
 # ---------------------------------------------------------------------------
 # Round-trip verification
 # ---------------------------------------------------------------------------
+
+
+def _kernel_logs(closure: SubgroupClosure) -> tuple[np.ndarray, ...]:
+    """Coordinate columns of log g for the elements g of H cap K(p), in
+    code order."""
+    modulus = closure.modulus
+    cols = closure.columns()
+    kernel = tuple(x[in_principal_congruence_columns(cols, modulus.p)] for x in cols)
+    return mat_to_vec_columns(log_extended_columns(kernel, modulus), modulus.pN)
 
 
 @dataclass
@@ -512,9 +526,11 @@ def roundtrip_check_fp(p: int) -> RoundtripReport:
         report.anomalies.append(str(exc))
         return report
     report.subgroup_count = len(subgroups)
+    closed: dict[tuple[Vec, ...], FpSubgroup] = {}  # grpc_bar(L) by L.basis
     for H in subgroups:
         try:
-            back = grpc_bar(liec_bar(H))
+            L = liec_bar(H)
+            back = closed[L.basis] = grpc_bar(L)
         except BracketClosureAnomaly as exc:
             report.anomalies.append(str(exc))
             continue
@@ -527,7 +543,7 @@ def roundtrip_check_fp(p: int) -> RoundtripReport:
     report.algebra_count = len(algebras)
     for L in algebras:
         try:
-            back_l = liec_bar(grpc_bar(L))
+            back_l = liec_bar(closed[L.basis] if L.basis in closed else grpc_bar(L))
         except BracketClosureAnomaly as exc:
             report.anomalies.append(str(exc))
             continue
@@ -567,6 +583,7 @@ def roundtrip_check_padic(
     * when h is full rank, the group level of H equals the lattice level.
     """
     report = RoundtripReport(p=modulus.p)
+    p, q = modulus.p, modulus.pN
     for gens in samples:
         closure = closure_of_generators(gens, cap=cap)
         h = liec_padic(closure, modulus, cap=cap)
@@ -574,13 +591,9 @@ def roundtrip_check_padic(
 
         # identity one: span(log H_resunip) cap p sl2 = log(H cap K(p))
         inner = h.intersect_scaled_ambient(1)
-        logs = set()
-        for t in closure.iter_tuples():
-            g = _tuple_to_mat(t, modulus)
-            if in_principal_congruence(g, 1):
-                logs.add(mat_to_vec(log_extended(g).matrix))
-        ok_one = all(membership_mod(inner, v, modulus.N) for v in logs)
-        ok_one = ok_one and len(logs) == inner.point_count()
+        logs = _kernel_logs(closure)
+        ok_one = bool(membership_mod_columns(inner, logs, modulus.N).all())
+        ok_one = ok_one and len(np.unique(_vec_codes(logs, q))) == inner.point_count()
         if not ok_one:
             report.failures.append(
                 {"identity": "from-group", "generators": [g.to_json() for g in gens]}
@@ -589,16 +602,10 @@ def roundtrip_check_padic(
 
         # identity two: <exp h_resnilp> cap K(p) = exp(h cap p sl2)
         group = grpc_padic(h, cap=cap)
-        lhs = set()
-        for t in group.iter_tuples():
-            g = _tuple_to_mat(t, modulus)
-            if in_principal_congruence(g, 1):
-                lhs.add(t)
-        rhs = set()
-        for v in inner.iter_points():
-            g = exp_extended(vec_to_mat(v, modulus)).matrix
-            rhs.add((g.rows[0][0], g.rows[0][1], g.rows[1][0], g.rows[1][1]))
-        if lhs != rhs:
+        lhs = group.codes[in_principal_congruence_columns(group.columns(), p)]
+        rhs = exp_extended_columns(vec_to_mat_columns(inner.point_columns(), q), modulus)
+        rhs = np.unique(element_codes(rhs, q))
+        if not np.array_equal(lhs, rhs):
             report.failures.append(
                 {"identity": "from-algebra", "generators": [g.to_json() for g in gens]}
             )

@@ -149,28 +149,6 @@ def predicate_closure(closure) -> Callable:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProjectivePoint:
-    """A class [x : y] over Z/q with (x, y) primitive, canonicalized so the
-    first unit coordinate equals 1."""
-
-    x: int
-    y: int
-    q: int
-
-    @classmethod
-    def canonical(cls, x: int, y: int, q: int, p: int) -> "ProjectivePoint":
-        x %= q
-        y %= q
-        if x % p != 0:
-            s = pow(x, -1, q)
-            return cls(1, (y * s) % q, q)
-        if y % p != 0:
-            s = pow(y, -1, q)
-            return cls((x * s) % q, 1, q)
-        raise PreconditionViolation(f"({x}, {y}) is not primitive mod {p}")
-
-
 def projective_line(p: int, n: int) -> list[tuple[int, int]]:
     """Canonical representatives of P^1(Z/p^n): [1 : y] and [p t : 1]."""
     q = p**n

@@ -23,10 +23,14 @@ from padiclie import (
 from padiclie.core import (
     _closure_python,
     _enumerate_reduction_kernel,
+    in_principal_congruence_columns,
     random_congruence_element,
     random_sl2,
     reduction_kernel_generators,
+    residually_nilpotent,
+    residually_nilpotent_columns,
     residually_unipotent_by_power,
+    residually_unipotent_columns,
     sl2_order,
 )
 from padiclie.errors import (
@@ -142,12 +146,28 @@ def test_residually_unipotent_examples_and_oracle():
     rng = random.Random(3)
     assert residually_unipotent(random_congruence_element(rng, m5, 1))
     # equivalence with the literal power definition, exhaustively over F_5
-    from padiclie.nori import sl2_fp_elements
+    from padiclie.enumeration import sl2_columns
 
     m1 = Modulus(5, 1)
-    for t in sl2_fp_elements(5):
+    for t in zip(*(x.tolist() for x in sl2_columns(5))):
         g = MatP.of([[t[0], t[1]], [t[2], t[3]]], m1)
         assert residually_unipotent(g) == residually_unipotent_by_power(g)
+
+
+def test_column_masks_match_scalar_predicates():
+    rng = random.Random(8)
+    for m in (Modulus(5, 1), Modulus(5, 3), Modulus(7, 2)):
+        q = m.pN
+        mats = [random_sl2(rng, m) for _ in range(150)]
+        mats += [random_congruence_element(rng, m, rng.randrange(1, m.N + 1)) for _ in range(50)]
+        mats += [MatP.of([[rng.randrange(q) for _ in range(2)] for _ in range(2)], m) for _ in range(150)]
+        mats += [MatP.of([[rng.randrange(q) * m.p for _ in range(2)] for _ in range(2)], m) for _ in range(50)]
+        cols = tuple(np.array(col) for col in zip(*_tuples(mats)))
+        assert residually_unipotent_columns(cols, m.p).tolist() == [residually_unipotent(g) for g in mats]
+        assert residually_nilpotent_columns(cols, m.p).tolist() == [residually_nilpotent(g) for g in mats]
+        for k in range(1, m.N + 1):
+            mask = in_principal_congruence_columns(cols, m.p**k)
+            assert mask.tolist() == [in_principal_congruence(g, k) for g in mats]
 
 
 def _generator_sets(moduli):
@@ -199,6 +219,33 @@ def test_closure_extension_order_is_irrelevant(case, rnd):
         closure = bigger
     assert np.array_equal(closure.codes, whole.codes)
     assert len(closure.generators) <= len(gens)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_generator_sets([(3, 2), (5, 2), (7, 2)]), st.randoms(use_true_random=False))
+def test_extend_by_pool_matches_one_at_a_time(case, rnd):
+    m, gens = case
+    # a pool with repeats and members, the way a stratum pool looks
+    pool = gens + [MatP.identity(m), gens[0]] + [g @ g for g in gens]
+    rnd.shuffle(pool)
+    whole = closure_of_pool(pool, m)
+    cols = tuple(np.array(col) for col in zip(*_tuples(pool)))
+    closure = SubgroupClosure.trivial(m).extend_by_pool(cols)
+    assert np.array_equal(closure.codes, whole.codes)
+    assert closure.generators == whole.generators
+    empty = tuple(np.zeros(0, dtype=np.int64) for _ in range(4))
+    assert SubgroupClosure.trivial(m).extend_by_pool(empty).order == 1
+
+
+def test_extend_by_pool_rejects_bad_entries():
+    m = Modulus(5, 2)
+    trivial = SubgroupClosure.trivial(m)
+    with pytest.raises(ValueError):
+        trivial.extend_by_pool(([1, 2], [1, 0], [0, 0], [1, 1]))  # det 2
+    with pytest.raises(ValueError):
+        trivial.extend_by_pool(([1], [25], [0], [1]))  # 25 is no residue mod 25
+    with pytest.raises(ClosureBudgetExceeded):
+        trivial.extend_by_pool(([1, 1], [1, 0], [0, 1], [1, 1]), cap=100)
 
 
 def test_double_coset_matches_products():

@@ -1,6 +1,10 @@
 import random
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padiclie import (
     MatP,
@@ -15,12 +19,22 @@ from padiclie import (
     log_extended,
     log_trunc,
 )
+from padiclie import explog
 from padiclie.errors import DomainViolation, UnsupportedPrime
-from padiclie.explog import borel_coset_witness
+from padiclie.explog import (
+    _exp_series_columns,
+    _exp_series_raw,
+    _log_series_raw,
+    _resnilp_cutoff,
+    borel_coset_witness,
+    exp_extended_columns,
+    log_extended_columns,
+)
 from padiclie.lattice import mat_to_vec, vec_to_mat
 from padiclie.sampling import (
     random_congruence_domain_matrix,
     random_resnilp_matrix,
+    random_resunip_element,
 )
 from padiclie.core import random_congruence_element, random_sl2
 
@@ -236,3 +250,64 @@ def test_roundtrip_precision_is_full():
     for _ in range(30):
         x = random_resnilp_matrix(rng, m)
         assert log_extended(exp_extended(x).matrix).matrix == x  # equality mod p^N exactly
+
+
+# ---------------------------------------------------------------------------
+# Column kernels against the scalar series
+# ---------------------------------------------------------------------------
+
+_COLUMN_MODULI = [(5, 2), (5, 3), (5, 4), (7, 3), (11, 2), (5, 14)]
+
+
+def _columns(tuples):
+    return tuple(np.array(col, dtype=object) for col in zip(*tuples))
+
+
+def _tuples(cols):
+    return list(zip(*(x.tolist() for x in cols)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_COLUMN_MODULI), st.integers(1, 70), st.integers(0, 2**32))
+def test_exp_log_columns_match_scalar_series(pN, count, seed):
+    p, N = pN
+    m = Modulus(p, N)
+    rng = random.Random(seed)
+    cutoff = _resnilp_cutoff(p, N)
+    xs = [random_resnilp_matrix(rng, m).as_tuple() for _ in range(count)]
+    gs = [random_resunip_element(rng, m).as_tuple() for _ in range(count)]
+    with mock.patch.object(explog, "_BLOCK_ELEMENTS", 16):  # several blocks
+        exps = exp_extended_columns(_columns(xs), m)
+        logs = log_extended_columns(_columns(gs), m)
+    assert _tuples(exps) == [_exp_series_raw(x, p, N, cutoff) for x in xs]
+    assert _tuples(logs) == [_log_series_raw(g, p, N, cutoff) for g in gs]
+    # 2 p^(2W) >= 2^62 at (5, 14): the kernels must run on Python integers
+    assert (exps[0].dtype == object) == ((p, N) == (5, 14))
+
+
+@pytest.mark.parametrize("pN", [(5, 3), (7, 4), (5, 14)])
+def test_column_kernels_reject_one_out_of_domain_column(pN, monkeypatch):
+    monkeypatch.setattr(explog, "_BLOCK_ELEMENTS", 16)  # the bad column is in one of three
+    p, N = pN
+    m = Modulus(p, N)
+    rng = random.Random(17)
+    cutoff = _resnilp_cutoff(p, N)
+    xs = [random_resnilp_matrix(rng, m).as_tuple() for _ in range(40)]
+    gs = [random_resunip_element(rng, m).as_tuple() for _ in range(40)]
+    # h = diag(1, -1) is not residually nilpotent, and its p-th power term
+    # is not divisible by p; diag(2, 2^-1) is not residually unipotent
+    bad_x = (1, 0, 0, m.pN - 1)
+    bad_g = (2, 0, 0, pow(2, -1, m.pN))
+    with pytest.raises(DomainViolation):
+        _exp_series_raw(bad_x, p, N, cutoff)
+    at = rng.randrange(41)
+    with pytest.raises(DomainViolation):
+        _exp_series_columns(_columns(xs[:at] + [bad_x] + xs[at:]), p, N, cutoff)
+    with pytest.raises(DomainViolation):
+        exp_extended_columns(_columns(xs[:at] + [bad_x] + xs[at:]), m)
+    with pytest.raises(DomainViolation):
+        log_extended_columns(_columns(gs[:at] + [bad_g] + gs[at:]), m)
+    # the same blocks without the bad column pass
+    assert _tuples(_exp_series_columns(_columns(xs), p, N, cutoff)) == [
+        _exp_series_raw(x, p, N, cutoff) for x in xs
+    ]

@@ -1,7 +1,10 @@
 import random
 from itertools import product
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padiclie import (
     LieLattice,
@@ -14,7 +17,15 @@ from padiclie import (
     smith_form,
 )
 from padiclie.errors import PrecisionExceeded, PrecisionExhausted
-from padiclie.lattice import BASIS, vec_add, vec_scale, vec_to_mat, mat_to_vec
+from padiclie.lattice import (
+    BASIS,
+    combination_columns,
+    mat_to_vec,
+    membership_mod_columns,
+    vec_add,
+    vec_scale,
+    vec_to_mat,
+)
 from padiclie.sampling import random_exact_subalgebra
 
 
@@ -189,3 +200,54 @@ def test_equal_lattices_hash_equal():
     assert len({a, b}) == 1
     c = LieLattice.from_columns([(5, 0, 0), (0, 1, 0), (0, 0, 1)], m)
     assert c != a and len({a, b, c}) == 2
+
+
+@st.composite
+def _lattices_and_vectors(draw):
+    """A random lattice (zero to four random columns), vectors half of which
+    are drawn from it, and an exponent m."""
+    p, N = draw(st.sampled_from([(3, 2), (5, 3), (7, 2), (5, 14)]))
+    m = Modulus(p, N)
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    q = m.pN
+    cols = [
+        tuple(rng.randrange(q) * p ** rng.randrange(N + 1) % q for _ in range(3))
+        for _ in range(draw(st.integers(0, 4)))
+    ]
+    lat = LieLattice.from_columns(cols, m)
+    vecs = []
+    for _ in range(draw(st.integers(1, 30))):
+        if lat.generators and rng.random() < 0.5:
+            v = (0, 0, 0)
+            for g in lat.generators:
+                v = vec_add(v, vec_scale(rng.randrange(q), g, q), q)
+            v = vec_add(v, vec_scale(p ** rng.randrange(N + 1), BASIS[rng.randrange(3)], q), q)
+        else:
+            v = tuple(rng.randrange(q) for _ in range(3))
+        vecs.append(v)
+    return lat, vecs, draw(st.integers(0, N))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_lattices_and_vectors())
+def test_membership_mod_columns_matches_scalar(case):
+    lat, vecs, mexp = case
+    cols = tuple(np.array(c, dtype=object) for c in zip(*vecs))
+    mask = membership_mod_columns(lat, cols, mexp)
+    assert mask.tolist() == [membership_mod(lat, v, mexp) for v in vecs]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_lattices_and_vectors())
+def test_point_columns_match_iter_points(case):
+    lat, _, _ = case
+    if lat.point_count() > 5000:
+        lat = lat.scaled(lat.modulus.N - 1)
+    cols = lat.point_columns()
+    assert list(zip(*(x.tolist() for x in cols))) == list(lat.iter_points())
+    # any window of positions gives the same points
+    n = len(cols[0])
+    index = np.arange(n // 3, n)
+    sizes = [lat.modulus.p ** (lat.modulus.N - d) for d in lat.divisors if d < lat.modulus.N]
+    window = combination_columns(lat.generators, sizes, lat.modulus.pN, index)
+    assert all(np.array_equal(x[index], y) for x, y in zip(cols, window))

@@ -1,5 +1,7 @@
 import random
+from itertools import product
 
+import numpy as np
 import pytest
 
 from padiclie import (
@@ -20,14 +22,28 @@ from padiclie import (
     roundtrip_check_padic,
     unipotent_elements,
 )
-from padiclie.core import reduction_kernel_generators
-from padiclie.errors import UnsupportedPrime
+from padiclie import explog, nori
+from padiclie.core import (
+    closure_of_pool,
+    in_principal_congruence,
+    reduction_kernel_generators,
+    residually_unipotent,
+)
+from padiclie.enumeration import sl2_columns
+from padiclie.errors import ClosureBudgetExceeded, UnsupportedPrime
+from padiclie.explog import exp_extended, log_extended
+from padiclie.lattice import mat_to_vec, membership_mod, vec_add, vec_scale, vec_to_mat
 from padiclie.nori import (
+    _kernel_logs,
     enumerate_nilpotently_generated,
-    sl2_fp_elements,
+    resnilp_stratum,
     smallest_passing_prime,
 )
 from padiclie.sampling import random_resunip_generator_sets
+
+
+def _sl2_fp(p):
+    return frozenset(zip(*(x.tolist() for x in sl2_columns(p))))
 
 
 def _cyclic(p, t4):
@@ -42,7 +58,7 @@ def test_unipotent_elements_examples():
     torus = FpSubgroup.generated_by(5, [(2, 0, 0, 3)])
     assert unipotent_elements(torus) == {(1, 0, 0, 1)}
 
-    full = FpSubgroup(5, frozenset(sl2_fp_elements(5)))
+    full = FpSubgroup(5, _sl2_fp(5))
     assert full.order == 120
     assert len(unipotent_elements(full)) == 25  # p^2 unipotents, identity included
 
@@ -66,7 +82,7 @@ def test_h_plus_examples():
 def test_liec_bar_examples():
     p = 5
     assert liec_bar(_cyclic(p, (1, 1, 0, 1))).basis == ((1, 0, 0),)
-    full = FpSubgroup(p, frozenset(sl2_fp_elements(p)))
+    full = FpSubgroup(p, _sl2_fp(p))
     assert liec_bar(full).dim == 3
     torus = FpSubgroup.generated_by(p, [(2, 0, 0, 3)])
     assert liec_bar(torus).dim == 0
@@ -111,6 +127,19 @@ def test_roundtrip_fp_and_smallest_prime():
     assert rep.subgroup_count == 8 and rep.algebra_count == 8
     smallest, reports = smallest_passing_prime((5, 7))
     assert smallest == 5
+
+
+def test_roundtrip_fp_closes_each_algebra_once(monkeypatch):
+    calls = []
+
+    def counting(L):
+        calls.append(L.basis)
+        return grpc_bar(L)
+
+    monkeypatch.setattr(nori, "grpc_bar", counting)
+    rep = roundtrip_check_fp(7)
+    assert rep.passed and rep.checked == 20
+    assert len(calls) == len(set(calls)) == 10
 
 
 def test_liec_bar_depends_only_on_h_plus():
@@ -195,3 +224,108 @@ def test_roundtrip_padic_borel_preimage():
     deep = list(reduction_kernel_generators(m, 1))
     rep = roundtrip_check_padic([[u, *deep]], m)
     assert rep.passed, rep.failures
+
+
+# ---------------------------------------------------------------------------
+# Column paths against per-element computations
+# ---------------------------------------------------------------------------
+
+
+def _mat(t, m):
+    return MatP.of([[t[0], t[1]], [t[2], t[3]]], m)
+
+
+def _scalar_liec(closure, m):
+    """The greedy span of liec_padic, one element at a time."""
+    span, lattice = [], LieLattice.from_columns([], m)
+    for t in closure.iter_tuples():
+        g = _mat(t, m)
+        if residually_unipotent(g):
+            v = mat_to_vec(log_extended(g).matrix)
+            if not membership_mod(lattice, v, m.N):
+                span.append(v)
+                lattice = LieLattice.from_columns(span, m)
+    return lattice
+
+
+def _scalar_stratum(L, s):
+    p, N = L.modulus.p, L.modulus.N
+    ps = p**s
+    ranges = [range(p ** max(s - d, 0)) for d in L.divisors if d < N]
+    out, seen = [], set()
+    for ts in product(*ranges):
+        v = (0, 0, 0)
+        for t, g in zip(ts, L.generators):
+            v = vec_add(v, vec_scale(t, g, ps), ps)
+        if v not in seen:
+            seen.add(v)
+            if (v[1] * v[1] + v[0] * v[2]) % p == 0:
+                out.append(v)
+    return out
+
+
+def _scalar_grpc(L):
+    m = L.modulus
+    stratum = _scalar_stratum(L, min(m.N, 3))
+    return closure_of_pool([exp_extended(vec_to_mat(v, m)).matrix for v in stratum], m)
+
+
+def _rows(cols):
+    return list(zip(*(x.tolist() for x in cols)))
+
+
+@pytest.mark.parametrize("pN", [(5, 3), (5, 4), (7, 3)])
+def test_padic_column_paths_match_per_element(pN, monkeypatch):
+    # small blocks, so every closure and stratum spans several
+    monkeypatch.setattr(explog, "_BLOCK_ELEMENTS", 64)
+    monkeypatch.setattr(nori, "_STRATUM_BLOCK", 50)
+    m = Modulus(*pN)
+    sets = random_resunip_generator_sets(random.Random(31), m, 12)
+    checked = 0
+    for gens in sets:
+        try:  # the cap keeps the per-element side quick
+            closure = closure_of_generators(gens, cap=20_000)
+        except ClosureBudgetExceeded:
+            continue
+        h = liec_padic(closure, m)
+        oracle = _scalar_liec(closure, m)
+        assert (h.divisors, h.adapted_basis, h.adapted_inverse) == (
+            oracle.divisors, oracle.adapted_basis, oracle.adapted_inverse)
+
+        for s in range(1, min(m.N, 3) + 1):
+            assert _rows(resnilp_stratum(h, sample_exponent=s)) == _scalar_stratum(h, s)
+        try:
+            group = grpc_padic(h)
+        except ClosureBudgetExceeded:
+            # the stratum lifts of a deep lattice can generate past the cap
+            with pytest.raises(ClosureBudgetExceeded):
+                _scalar_grpc(h)
+        else:
+            expected = _scalar_grpc(h)
+            assert np.array_equal(group.codes, expected.codes)
+            assert group.generators == expected.generators
+
+        logs = [
+            mat_to_vec(log_extended(_mat(t, m)).matrix)
+            for t in closure.iter_tuples()
+            if in_principal_congruence(_mat(t, m), 1)
+        ]
+        assert _rows(_kernel_logs(closure)) == logs
+        checked += 1
+    assert checked >= 6
+
+
+def test_roundtrip_padic_on_python_int_codes():
+    # q^4 > 2^62 at (5, 7): closure codes are Python integers
+    m = Modulus(5, 7)
+    u = MatP.of([[1, 1], [0, 1]], m)
+    closure = closure_of_generators([u])
+    assert closure.codes.dtype == object and closure.order == 5**7
+    h = liec_padic(closure, m)
+    assert h.divisors == (0, 7, 7)
+    group = grpc_padic(h)
+    assert group.codes.dtype == object
+    assert np.array_equal(group.codes, _scalar_grpc(h).codes)
+    rep = roundtrip_check_padic([[u]], m)
+    assert rep.passed, rep.failures
+    assert rep.checked == 2
