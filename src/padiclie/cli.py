@@ -246,7 +246,7 @@ def _cmd_count(args) -> int:
     if args.mode == "affine":
         f = parse_poly(args.poly)
         count = count_affine(f, args.p, args.n)
-        bound = bound_a6(f.degree(mod_p=args.p), f.nvars, args.p, args.n)
+        bound = bound_a6(max(f.degree(mod_p=args.p), 1), f.nvars, args.p, args.n)
         report.add_case(count=count, bound_form=bound.to_json(),
                         passed=bound.admits(count))
     elif args.mode == "sl2":

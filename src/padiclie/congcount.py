@@ -2,9 +2,16 @@
 mod p^n and over SL(2, F_p), with the three explicit bounds they are
 checked against.
 
-Counts are exhaustive and vectorized; bound comparisons involving a
-fractional power of p are raised to an integer power first, so nothing is
-ever floated.
+Affine zeros mod p^n are counted on a p-adic digit tree, the reduction
+behind Igusa's local zeta function (Denef, "Report on Igusa's local zeta
+function", Seminaire Bourbaki 741, 1991). Level 1 is the grid mod p. A
+root mod p at which some partial derivative is a unit has exactly
+p^((s-1)(n-1)) lifts mod p^n (Hensel), counted in closed form; only the
+singular roots are lifted, one digit at a time, on entry columns that are
+int64 while every product stays below 2^62 and Python integers otherwise.
+Counts on SL(2, F_p) are exhaustive and vectorized. Bound comparisons
+involving a fractional power of p are raised to an integer power first, so
+nothing is ever floated.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .core import DEFAULT_ENUM_CAP, is_prime
+from .core import DEFAULT_ENUM_CAP, column_dtype, is_prime
 from .enumeration import sl2_columns, sl2_point_count
 from .errors import (
     BudgetExceeded,
@@ -133,7 +140,9 @@ def parse_poly(text: str, nvars: int | None = None) -> IntPolynomial:
 
 
 def _evaluate_on_grid(f: IntPolynomial, q: int) -> np.ndarray:
-    """Values of f on (Z/q)^s as an s-dimensional int64 array mod q."""
+    """Values of f on (Z/q)^s as an s-dimensional int64 array mod q: the
+    first level of ``count_affine`` at q = p, and its test oracle at
+    q = p^n."""
     s = f.nvars
     xs = np.arange(q, dtype=np.int64)
     max_exp = [0] * s
@@ -163,8 +172,57 @@ def _require_prime(p: int) -> None:
         raise PreconditionViolation(f"p = {p} is not prime")
 
 
+# Points evaluated per block, and children formed per block of the descent.
+_BLOCK = 1 << 14
+
+
+def _evaluate_on_columns(exps: np.ndarray, coeffs: list[int], xs: np.ndarray, q: int) -> np.ndarray:
+    """Values mod q of sum_t coeffs[t] x^exps[t] at each point column of xs
+    (shape (s, m)), ``_BLOCK`` points at a time: int64 while products
+    (< q^2) and term sums (< T q) stay below 2^62, Python integers
+    otherwise."""
+    s, m = xs.shape
+    if m > _BLOCK:
+        return np.concatenate([_evaluate_on_columns(exps, coeffs, xs[:, lo:lo + _BLOCK], q)
+                               for lo in range(0, m, _BLOCK)])
+    dtype = column_dtype(q * max(q, len(coeffs)))
+    xs = xs.astype(dtype, copy=False)
+    top = int(exps.max())
+    powers = np.empty((top + 1, s, m), dtype=dtype)
+    powers[0] = 1
+    for j in range(1, top + 1):
+        powers[j] = powers[j - 1] * xs % q
+    factors = powers[exps, np.arange(s)]
+    acc = np.array([c % q for c in coeffs], dtype=dtype)[:, None]
+    for i in range(s):
+        acc = acc * factors[:, i] % q
+    return acc.sum(axis=0) % q
+
+
+def _lift(exps: np.ndarray, coeffs: list[int], nodes: np.ndarray, digits: np.ndarray, p: int, k: int):
+    """The points x + p^k t for each node column x and digit column t, and
+    the values of f mod p^(k+1) there, one row per node."""
+    dtype = column_dtype(p ** (k + 1))
+    children = (nodes.astype(dtype)[:, :, None] + digits.astype(dtype)[:, None, :] * p**k).reshape(len(nodes), -1)
+    values = _evaluate_on_columns(exps, coeffs, children, p ** (k + 1))
+    return children, values.reshape(-1, digits.shape[1])
+
+
 def count_affine(f: IntPolynomial, p: int, n: int, *, cap: int = DEFAULT_ENUM_CAP) -> int:
-    """Exact number of zeros of f on (Z/p^n)^s by full enumeration."""
+    """Exact number of zeros of f on (Z/p^n)^s, by a p-adic digit tree.
+
+    The roots mod p come from the grid mod p. For k >= 1,
+    f(x + p^k t) = f(x) + p^k grad f(x).t mod p^(k+1), and grad f mod p is
+    the same for every lift of x. So a root mod p where some partial
+    derivative is a unit has exactly p^(s-1) children at each level, and
+    p^((s-1)(n-1)) lifts mod p^n; these are counted in closed form. The
+    gradient mod p is read off f(x + p e_i) - f(x) = p df/dx_i(x) mod p^2.
+    The singular roots are lifted one digit at a time: the p^s children
+    x + p^k t of each root mod p^k are evaluated mod p^(k+1), in blocks of
+    at most ``_BLOCK`` children (or one root's), and the zeros are kept.
+    The cap bounds q^s for q = p^n; the tree visits fewer than 2 q^s nodes.
+    ``(_evaluate_on_grid(f, p**n) == 0).sum()`` is the test oracle.
+    """
     _require_prime(p)
     if f.is_zero(mod_p=p):
         raise ZeroModP("polynomial vanishes identically mod p")
@@ -173,8 +231,36 @@ def count_affine(f: IntPolynomial, p: int, n: int, *, cap: int = DEFAULT_ENUM_CA
     q = p**n
     if q**f.nvars > cap:
         raise BudgetExceeded(f"grid size {q ** f.nvars} exceeds cap {cap}")
-    values = _evaluate_on_grid(f, q)
-    return int((values == 0).sum())
+    zeros = _evaluate_on_grid(f, p) == 0
+    if n == 1:
+        return int(zeros.sum())
+    roots = np.array(np.nonzero(zeros), dtype=np.int64)
+    if roots.size == 0:
+        return 0
+    s = f.nvars
+    exps = np.array([e for e, _ in f.terms], dtype=np.int64)
+    coeffs = [c for _, c in f.terms]
+    _, near = _lift(exps, coeffs, roots, np.eye(s + 1, s, -1, dtype=np.int64).T, p, 1)
+    singular = (near == near[:, :1]).all(axis=1)
+    total = int((~singular).sum()) * p ** ((s - 1) * (n - 1))
+    if not singular.any():
+        return total
+    digits = np.indices((p,) * s).reshape(s, -1)
+    chunk = max(1, _BLOCK // p**s)
+    # Depth first, so at most one partial block waits per level.
+    stack = [(1, roots[:, singular])]
+    while stack:
+        k, nodes = stack.pop()
+        if nodes.shape[1] > chunk:
+            stack.append((k, nodes[:, chunk:]))
+            nodes = nodes[:, :chunk]
+        children, values = _lift(exps, coeffs, nodes, digits, p, k)
+        kept = values.ravel() == 0
+        if k + 1 == n:
+            total += int(kept.sum())
+        elif kept.any():
+            stack.append((k + 1, children[:, kept]))
+    return total
 
 
 @dataclass(frozen=True)
@@ -236,7 +322,8 @@ def count_mod_p_on_sl2(f: IntPolynomial, p: int, *, cap: int = DEFAULT_ENUM_CAP)
     SL(2, F_p), with the measured ratio against deg(f) p^2."""
     if f.nvars != 4:
         raise PreconditionViolation("polynomial must use the four matrix entries x0..x3")
-    if not is_prime(p) or p > 101:
+    _require_prime(p)
+    if p > 101:
         raise BudgetExceeded("budgeted for prime p <= 101")
     deg = f.degree(mod_p=p)
     if f.is_zero(mod_p=p):

@@ -113,8 +113,12 @@ def random_resunip_generator_sets(
     rng: random.Random, modulus: Modulus, count: int
 ) -> list[list[MatP]]:
     """Seeded generator lists for residually-unipotent-generated subgroups,
-    mixing cyclic, two-generator, and reduction-preimage shapes so closure
-    sizes stay at desk scale."""
+    mixing cyclic, two-generator, and reduction-preimage shapes.
+
+    Closure orders grow with p and N. Measured: at (p, N) = (5, 3), seed
+    20260810, the 50 sets close to 125 (26 sets), 625 (2), 3,125 (14) and
+    78,125 (8) elements; at (7, 3), seed 7, the 12 sets close to 343 (6),
+    16,807 (2) and 823,543 (4)."""
     from .core import random_congruence_element
 
     out: list[list[MatP]] = []

@@ -101,8 +101,15 @@ def test_count_command_modes(capsys):
     assert code == 0 and rep["cases"][0]["count"] == 20
 
 
+def test_count_affine_constant_mod_p(capsys):
+    code, rep = _run(capsys, ["count", "--poly", "5*x0+1", "--p", "5", "--n", "2"])
+    assert code == 0
+    assert rep["cases"][0]["count"] == 0
+    assert rep["cases"][0]["passed"] is True
+
+
 def test_count_rejects_composite_p(capsys):
-    for mode in ("affine", "schmidt"):
+    for mode in ("affine", "schmidt", "sl2"):
         code = main(["count", "--poly", "x0*x1-1", "--p", "9", "--n", "2", "--mode", mode])
         assert code == 2
         assert "not prime" in capsys.readouterr().err

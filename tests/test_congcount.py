@@ -1,7 +1,10 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from padiclie import congcount
 from padiclie import (
     IntPolynomial,
     bound_a6,
@@ -10,7 +13,7 @@ from padiclie import (
     parse_poly,
     schmidt_check,
 )
-from padiclie.congcount import random_polynomial
+from padiclie.congcount import _evaluate_on_grid, random_polynomial
 from padiclie.errors import (
     BudgetExceeded,
     IdenticallyZeroOnV,
@@ -130,3 +133,73 @@ def test_composite_p_is_rejected():
             bound_a6(2, 2, p, 2)
         with pytest.raises(PreconditionViolation):
             schmidt_check(f, p)
+        with pytest.raises(PreconditionViolation):
+            count_mod_p_on_sl2(parse_poly("x0*x1-1", nvars=4), p)
+
+
+def _grid_count(f, p, n):
+    return int((_evaluate_on_grid(f, p**n) == 0).sum())
+
+
+def _times(f, g):
+    terms = {}
+    for e, c in f.terms:
+        for e2, c2 in g.terms:
+            key = tuple(a + b for a, b in zip(e, e2))
+            terms[key] = terms.get(key, 0) + c * c2
+    return IntPolynomial.of(terms, f.nvars)
+
+
+def _plus(f, g):
+    terms = dict(f.terms)
+    for e, c in g.terms:
+        terms[e] = terms.get(e, 0) + c
+    return IntPolynomial.of(terms, f.nvars)
+
+
+@st.composite
+def _affine_cases(draw):
+    """(f, p, n) with q^s <= 5^8; the square, monomial-multiple and
+    p-shifted shapes give singular roots, so the descent runs."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    s = draw(st.integers(1, 3))
+    n = draw(st.integers(1, max(k for k in range(1, 5) if p ** (k * s) <= 5**8)))
+
+    def poly(deg):
+        exps = st.tuples(*[st.integers(0, deg)] * s).filter(lambda e: sum(e) <= deg)
+        terms = draw(st.dictionaries(exps, st.integers(-2 * p * p, 2 * p * p), min_size=1, max_size=4))
+        return IntPolynomial.of(terms, s)
+
+    g = poly(2)
+    shape = draw(st.sampled_from(("plain", "square", "monomial", "shifted")))
+    if shape == "square":
+        g = _times(g, g)
+    elif shape == "monomial":
+        x0 = IntPolynomial.of({(1,) + (0,) * (s - 1): 1}, s)
+        last = IntPolynomial.of({(0,) * (s - 1) + (1,): 1}, s)
+        g = _times(_times(x0, last), g)
+    elif shape == "shifted":
+        g = _plus(_times(g, g), _times(IntPolynomial.of({(0,) * s: p}, s), poly(2)))
+    assume(not g.is_zero(mod_p=p))
+    return g, p, n
+
+
+@settings(max_examples=150, deadline=None)
+@given(_affine_cases())
+def test_count_affine_matches_grid(case):
+    f, p, n = case
+    assert count_affine(f, p, n) == _grid_count(f, p, n)
+
+
+def test_count_affine_small_blocks(monkeypatch):
+    monkeypatch.setattr(congcount, "_BLOCK", 5)
+    cases = [("x0^2", 3, 6), ("x0^2*x1-x1^3", 3, 4), ("x0*x1*x2", 2, 4), ("x0^2+x1^2+3*x0", 3, 4), ("x0^3", 5, 4)]
+    for text, p, n in cases:
+        f = parse_poly(text)
+        assert count_affine(f, p, n) == _grid_count(f, p, n), text
+
+
+def test_count_affine_closed_forms():
+    assert count_affine(parse_poly("x0^2"), 3, 20, cap=3**20) == 3**10  # Python-int columns
+    assert count_affine(parse_poly("x0^2+x1^2-1"), 5, 30, cap=5**60) == 4 * 5**29
+    assert count_affine(parse_poly("x0-1"), 5, 40, cap=5**40) == 1
