@@ -63,7 +63,6 @@ from .approx import (
     worst_case_subalgebra,
 )
 from .nori import (
-    FpLieSubalgebra,
     FpSubgroup,
     enumerate_unipotent_generated,
     grpc_bar,

@@ -35,11 +35,13 @@ from .core import (
     SubgroupClosure,
     closure_of_generators,
     in_principal_congruence,
+    in_principal_congruence_columns,
     int_valuation,
 )
 from .errors import (
     BudgetExceeded,
     DegenerateSpan,
+    InvariantViolation,
     NotSurjective,
     NoUnitDerivative,
     PreconditionViolation,
@@ -114,7 +116,7 @@ def _plane_annihilator_row(x1: Vec, x2: Vec, modulus: Modulus) -> Vec:
     row = _canonical_row(cross, modulus)
     for x in (x1, x2):
         if _row_apply(row, x, pN) != 0:
-            raise AssertionError("annihilator row does not kill its plane")
+            raise InvariantViolation("annihilator row does not kill its plane")
     return row
 
 
@@ -171,11 +173,11 @@ def _lift_row(row: Vec, m: int, modulus: Modulus) -> Vec:
     else:
         raise NoUnitDerivative("no unit partial derivative on the quadric")
     if _row_residual(lifted, pN) != 0:
-        raise AssertionError("lift did not land on the quadric")
+        raise InvariantViolation("lift did not land on the quadric")
     keep = min(m - (2 if p == 2 else 0), modulus.N)
     q = p**keep
     if any((x - y) % q != 0 for x, y in zip(lifted, row)):
-        raise AssertionError(f"lift moved the row above level p^{keep}")
+        raise InvariantViolation(f"lift moved the row above level p^{keep}")
     return _canonical_row(lifted, modulus)
 
 
@@ -282,7 +284,7 @@ def select_r(
     # alpha[r] is a_{r+1} one-based; every index above r failed the splitting
     # test, so a_{r+1} >= c a_{r+2} >= ... >= c^(d-r-1) a_d
     if Fraction(alpha[r]) < c_constant ** (d - r - 1) * n:
-        raise AssertionError("selection chain violated: a_{r+1} < c^(d-r-1) n")
+        raise InvariantViolation("selection chain violated: a_{r+1} < c^(d-r-1) n")
     return r, nu
 
 
@@ -377,16 +379,16 @@ def approximate_sl2(
         result = ApproxResult(subalgebra, m, "rank2-lifted", trace, annihilator_row=lifted)
 
     if result.m < floor_m:
-        raise AssertionError(f"achieved exponent {result.m} below guaranteed {floor_m}")
+        raise InvariantViolation(f"achieved exponent {result.m} below guaranteed {floor_m}")
     if result.subalgebra.rank >= 3:
-        raise AssertionError("approximating subalgebra is not proper")
+        raise InvariantViolation("approximating subalgebra is not proper")
     if result.subalgebra.saturated() != result.subalgebra:
-        raise AssertionError("approximating subalgebra is not isolated")
+        raise InvariantViolation("approximating subalgebra is not isolated")
     if not is_subalgebra_mod(result.subalgebra, N - 1):
-        raise AssertionError("approximating lattice is not an exact subalgebra")
+        raise InvariantViolation("approximating lattice is not an exact subalgebra")
     for g in M.generators:
         if not membership_mod(result.subalgebra, g, result.m):
-            raise AssertionError("postcondition M inside I + p^m sl2 failed")
+            raise InvariantViolation("postcondition M inside I + p^m sl2 failed")
     return result
 
 
@@ -440,9 +442,9 @@ def worst_case_subalgebra(modulus: Modulus, n: int, functional_row: Vec) -> LieL
         cols.append(tuple((p**n) % pN if t == i else 0 for t in range(3)))
     M = LieLattice.from_columns(cols, modulus)
     if lattice_level(M) != n:
-        raise AssertionError("worst-case instance does not have the requested level")
+        raise InvariantViolation("worst-case instance does not have the requested level")
     if not is_subalgebra_mod(M, N - 1):
-        raise AssertionError("worst-case instance is not a subalgebra")
+        raise InvariantViolation("worst-case instance is not a subalgebra")
     return M
 
 
@@ -533,8 +535,9 @@ def group_certificate(
     """Whether every element of the generated subgroup H satisfies
     log(h) in p*I + p^m sl2, i.e. H is inside exp(p I) K(p^m).
 
-    Generators must be trivial mod p' and p odd; a precomputed closure may
-    be passed to share work across candidate subalgebras.  Logarithms are
+    Generators, or every element of a precomputed closure, must be trivial
+    mod p', and p odd; a closure may be passed to share work across
+    candidate subalgebras.  Logarithms are
     exact at precision N, so the verdict is sound and complete there.
     """
     modulus = I.modulus
@@ -547,6 +550,8 @@ def group_certificate(
         closure = generators
         if closure.q != modulus.pN:
             raise PreconditionViolation("closure modulus does not match the lattice")
+        if not in_principal_congruence_columns(closure.columns(), modulus.p_prime).all():
+            raise PreconditionViolation("closure elements must be trivial mod p'")
     else:
         for g in generators:
             if not in_principal_congruence(g, modulus.eps_p):
@@ -557,7 +562,7 @@ def group_certificate(
         g = MatP.of([[t[0], t[1]], [t[2], t[3]]], modulus)
         logm = log_congruence(g)
         if logm.trace() != 0:
-            raise AssertionError("logarithm of a congruence SL(2) element must be traceless")
+            raise InvariantViolation("logarithm of a congruence SL(2) element must be traceless")
         if not membership_mod(target, mat_to_vec(logm), N):
             return False
     return True

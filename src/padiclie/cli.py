@@ -3,7 +3,8 @@ report emission.
 
 Exit codes: 0 all assertions passed, 1 an assertion failed, 2 config
 error, 3 a budget was exceeded.  Small-prime correspondence anomalies are
-reported as warnings, not failures.
+reported as warnings, not failures.  A broken internal invariant
+(``InvariantViolation``) is a bug, not a config error: it propagates.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .core import (
     MatP,
     Modulus,
 )
-from .errors import BudgetExceeded, ClosureBudgetExceeded, PadicLieError
+from .errors import BudgetExceeded, ClosureBudgetExceeded, InvariantViolation, PadicLieError
 from .lattice import LieLattice, lattice_level
 from .reports import REPORT_SCHEMA, Report, merge_reports
 
@@ -374,6 +375,8 @@ def main(argv: list[str] | None = None) -> int:
     except (BudgetExceeded, ClosureBudgetExceeded) as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except InvariantViolation:
+        raise  # a bug in the program, not in its configuration
     except PadicLieError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

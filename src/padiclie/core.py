@@ -835,26 +835,26 @@ def reduction_kernel_generators(modulus: Modulus, n: int) -> tuple[MatP, ...]:
 
 
 def _enumerate_reduction_kernel(modulus: Modulus, n: int) -> list[MatP]:
-    """All g in SL(2, Z/p^N) with g = 1 mod p^n, by direct solve.
+    """All g in SL(2, Z/p^N) with g = 1 mod p^n, one per (a, b, c)."""
+    r = modulus.p ** (modulus.N - n)
+    return [
+        _congruence_element(modulus, n, a, b, c)
+        for a in range(r)
+        for b in range(r)
+        for c in range(r)
+    ]
 
-    Writing g = 1 + p^n * [[a, b], [c, d]], the determinant condition pins d
-    as a function of (a, b, c) because 1 + p^n a is a unit.
+
+def _congruence_element(modulus: Modulus, n: int, a: int, b: int, c: int) -> MatP:
+    """The g in SL(2, Z/p^N) with g = 1 + p^n [[a, b], [c, *]].
+
+    The determinant condition (1 + p^n a) d - p^(2n) b c = 1 pins the
+    remaining entry d, because 1 + p^n a is a unit.
     """
-    p, N = modulus.p, modulus.N
     pN = modulus.pN
-    pn = p**n
-    r = p ** (N - n)
-    out = []
-    for a in range(r):
-        ia = pow(1 + pn * a, -1, pN)
-        for b in range(r):
-            for c in range(r):
-                # (1+pn*a)(1+pn*d) - pn*b*pn*c = 1
-                rhs = (1 + pn * pn * b * c) % pN
-                dd = (rhs * ia - 1) % pN
-                # dd must be divisible by pn; true because g = 1 mod p^n
-                out.append(MatP.of([[1 + pn * a, pn * b], [pn * c, dd + 1]], modulus))
-    return out
+    pn = modulus.p**n
+    d = (1 + pn * pn * b * c) * pow(1 + pn * a, -1, pN)
+    return MatP.of([[1 + pn * a, pn * b], [pn * c, d]], modulus)
 
 
 @dataclass(frozen=True)
@@ -922,17 +922,11 @@ def random_congruence_element(rng, modulus: Modulus, n: int) -> MatP:
     """A seeded element of SL(2, Z/p^N) congruent to 1 mod p^n (n >= 1)."""
     if n < 1 or n > modulus.N:
         raise PrecisionExceeded(f"n = {n} outside [1, {modulus.N}]")
-    p, N = modulus.p, modulus.N
-    pN = modulus.pN
-    pn = p**n
-    r = p ** (N - n)
+    r = modulus.p ** (modulus.N - n)
     a = rng.randrange(r)
     b = rng.randrange(r)
     c = rng.randrange(r)
-    ia = pow(1 + pn * a, -1, pN)
-    rhs = (1 + pn * pn * b * c) % pN
-    d = (rhs * ia) % pN
-    return MatP.of([[1 + pn * a, pn * b], [pn * c, d]], modulus)
+    return _congruence_element(modulus, n, a, b, c)
 
 
 def sl2_order(p: int, n: int) -> int:

@@ -9,7 +9,9 @@ Four flavours live here:
   ``exp_extended_columns`` / ``log_extended_columns`` on many elements at
   once;
 * ``exp_trunc`` / ``log_trunc``, the degree-(p-1) truncations over F_p on
-  nilpotents/unipotents;
+  nilpotents/unipotents.  They stay as API and as the oracle of the F_p
+  Nori round trip, which runs the column forms of the extended maps at
+  N = 1;
 * ``exp_congruence_classes``, the induced map on classes mod p^n.
 
 Series are summed to a static cutoff chosen so every discarded term has

@@ -8,15 +8,26 @@ exponents a_1 <= a_2 <= a_3 such that the p^{a_i} x_i span it.  Exponents
 equal to N are precision-capped, which is how rank-deficient spans are
 represented; generator lists of any rank are legal inputs.
 
+Equality and hashing use a second, canonical basis: the Howell form of
+the lattice's points mod p^N (Howell, "Spans in the module (Z_m)^s", 1986).
+Its rows are in echelon form, each pivot is exactly p^e, entries above a
+pivot are reduced mod p^e, and every point whose first j coordinates vanish
+is a combination of the rows pivoting after column j.  Two generator lists
+span the same points exactly when their Howell forms agree.  At N = 1 it
+is the reduced row echelon basis of a subspace of F_p^3, which is how the
+subalgebras of sl(2, F_p) are compared.
+
 Lattices are immutable; every operation returns a fresh value, so the
-adapted data can be cached without invalidation logic.
+adapted data and the canonical basis can be cached without invalidation
+logic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
-from math import prod
+from math import gcd, prod
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -212,7 +223,7 @@ def smith_form(columns: Sequence[Vec], modulus: Modulus, *, margin: int = 0) -> 
         divisors.append(N)
     divisors_t = tuple(divisors)
     if any(divisors_t[i] > divisors_t[i + 1] for i in range(2)):
-        raise AssertionError("divisors not sorted; pivoting invariant broken")
+        raise InvariantViolation("divisors not sorted; pivoting invariant broken")
     if margin > 0 and sum(d for d in divisors_t if d < N) > N - margin:
         raise PrecisionExhausted(
             f"divisor weight {sum(d for d in divisors_t if d < N)} leaves "
@@ -220,10 +231,38 @@ def smith_form(columns: Sequence[Vec], modulus: Modulus, *, margin: int = 0) -> 
         )
     det_u = _det3(u_rows, pN)
     if det_u % p == 0:
-        raise AssertionError("transform not unimodular; pivoting invariant broken")
+        raise InvariantViolation("transform not unimodular; pivoting invariant broken")
     adapted = tuple(tuple(c) for c in uinv_cols)
     adapted_inv = tuple(tuple(r) for r in u_rows)
     return SmithForm(divisors_t, adapted, adapted_inv, modulus)
+
+
+def howell_form(rows: Sequence[Vec], modulus: Modulus) -> tuple[Vec, ...]:
+    """The Howell form of the span of ``rows`` mod p^N: the canonical basis
+    described in the module docstring, one row per pivot column."""
+    q = modulus.pN
+    rest = [[x % q for x in r] for r in rows]
+    basis: list[list[int]] = []
+    pivots: list[tuple[int, int]] = []  # (column, p^e)
+    for j in range(3):
+        # gcd(x, p^N) = p^v(x), and p^N for x = 0
+        pe, i = min(((gcd(r[j], q), i) for i, r in enumerate(rest)), default=(q, 0))
+        if pe == q:
+            continue
+        pivot = rest.pop(i)
+        unit_inv = pow(pivot[j] // pe, -1, q)
+        pivot = [unit_inv * x % q for x in pivot]  # pivot[j] == p^e
+        rest = [[(x - r[j] // pe * y) % q for x, y in zip(r, pivot)] for r in rest]
+        # the multiples of the pivot row that vanish in column j
+        rest.append([q // pe * x % q for x in pivot])
+        basis.append(pivot)
+        pivots.append((j, pe))
+    for k, (j, pe) in enumerate(pivots):
+        for r in basis[:k]:
+            f = r[j] // pe
+            if f:
+                r[:] = [(x - f * y) % q for x, y in zip(r, basis[k])]
+    return tuple(tuple(r) for r in basis)
 
 
 def _det3(rows, q: int) -> int:
@@ -241,7 +280,8 @@ class LieLattice:
     """A lattice in sl(2) at precision N, stored through its adapted basis.
 
     ``divisors`` may contain N-capped entries (rank-deficient spans); the
-    level is only defined for full-rank lattices.
+    level is only defined for full-rank lattices.  Equality and the hash
+    compare the modulus and the canonical ``basis``.
     """
 
     modulus: Modulus
@@ -330,16 +370,19 @@ class LieLattice:
     def contains_lattice(self, other: "LieLattice") -> bool:
         return all(self.contains(g) for g in other.generators)
 
+    @cached_property
+    def basis(self) -> tuple[Vec, ...]:
+        """The Howell form of the lattice mod p^N (canonical: equal
+        lattices have equal bases, whatever their generators)."""
+        return howell_form(self.generators, self.modulus)
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, LieLattice):
             return NotImplemented
-        if self.modulus != other.modulus or self.divisors != other.divisors:
-            return False
-        return self.contains_lattice(other) and other.contains_lattice(self)
+        return (self.modulus, self.basis) == (other.modulus, other.basis)
 
     def __hash__(self) -> int:
-        # equal lattices share modulus and divisors, whatever their bases
-        return hash((self.modulus, self.divisors))
+        return hash((self.modulus, self.basis))
 
     # -- derived lattices ---------------------------------------------------
 

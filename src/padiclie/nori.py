@@ -1,10 +1,5 @@
-"""Subgroup / subalgebra correspondences over F_p and at precision N.
-
-Over F_p: unipotent-generated subgroups of SL(2, F_p) correspond to
-nilpotently-generated Lie subalgebras of sl(2, F_p) via spans of truncated
-logarithms one way and closures of truncated exponentials the other.  The
-correspondence is only guaranteed for p large; failures at small p are
-recorded as anomalies, never asserted away.
+"""Subgroup / subalgebra correspondences at precision N, and over F_p as
+the case N = 1.
 
 At precision N (p >= 5): a closed subgroup generated by residually
 unipotent elements corresponds to the span of the logarithms of its
@@ -16,12 +11,23 @@ residually nilpotent stratum.  The two defining identities
     <exp h_resnilp> cap K(p)      = exp(h cap p sl2)
 
 are checked as literal set equalities on enumerated elements.
+
+Over F_p this is Nori's correspondence (Nori, Invent. Math. 88, 1987):
+unipotent-generated subgroups of SL(2, F_p) correspond to nilpotently
+generated Lie subalgebras of sl(2, F_p).  It is the same code at N = 1.
+A subalgebra is a ``LieLattice`` at precision 1, ``liec_bar`` is
+``liec_padic`` and ``grpc_bar`` is ``grpc_padic``; there the logarithm of
+a unipotent u is u - 1 and the exponential of a nilpotent x is 1 + x, the
+truncated series ``log_trunc`` / ``exp_trunc``.  Bracket closure is
+checked at precision 1 over F_p and at precision N - 1 above it.  The
+correspondence is only guaranteed for p large; failures at small p are
+recorded as anomalies, never asserted away.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import groupby, product
 from math import prod
 from typing import Iterable, Iterator, Sequence
 
@@ -35,7 +41,6 @@ from .core import (
     SubgroupClosure,
     as_columns,
     closure_of_generators,
-    closure_of_pool,
     element_codes,
     group_level,
     in_principal_congruence_columns,
@@ -46,22 +51,19 @@ from .errors import (
     BracketClosureAnomaly,
     BudgetExceeded,
     InvariantViolation,
+    PreconditionViolation,
     UnsupportedPrime,
 )
-from .explog import exp_extended_columns, exp_trunc, log_extended_columns, log_trunc
+from .explog import exp_extended_columns, log_extended_columns
 from .lattice import (
     LieLattice,
     Vec,
     bracket,
     combination_columns,
     lattice_level,
-    mat_to_vec,
     mat_to_vec_columns,
     membership_mod,
     membership_mod_columns,
-    vec_add,
-    vec_scale,
-    vec_to_mat,
     vec_to_mat_columns,
 )
 
@@ -73,138 +75,68 @@ def _tuple_to_mat(t: Tuple4, modulus: Modulus) -> MatP:
 
 
 # ---------------------------------------------------------------------------
-# Finite side: subgroups of SL(2, F_p) and subalgebras of sl(2, F_p)
+# F_p side: subgroups of SL(2, F_p) and subalgebras of sl(2, F_p), N = 1
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FpSubgroup:
-    """A subgroup of SL(2, F_p) as its canonical sorted element set.
-
-    ``closure`` is the closure it was built from, when there is one; it
-    lets the subgroup be extended by a generator without closing again.
+    """A subgroup of SL(2, F_p): the closure that holds its elements, which
+    also lets it be extended by a generator without closing again, and the
+    generators it was built from.  Subgroups are compared by ``canonical()``
+    or by their closures' codes.
     """
 
-    p: int
-    elements: frozenset[Tuple4]
+    closure: SubgroupClosure
     generator_record: tuple[Tuple4, ...] = ()
-    closure: SubgroupClosure | None = field(default=None, compare=False, repr=False)
 
     @classmethod
     def generated_by(cls, p: int, generators: Iterable[Tuple4]) -> "FpSubgroup":
         modulus = Modulus(p, 1)
         gens = tuple(generators)
         mats = [_tuple_to_mat(g, modulus) for g in gens] or [MatP.identity(modulus)]
-        return cls.from_closure(closure_of_generators(mats), gens)
-
-    @classmethod
-    def from_closure(cls, closure: SubgroupClosure, record: tuple[Tuple4, ...]) -> "FpSubgroup":
-        return cls(closure.modulus.p, frozenset(closure.iter_tuples()), record, closure)
+        return cls(closure_of_generators(mats), gens)
 
     @classmethod
     def trivial(cls, p: int) -> "FpSubgroup":
-        return cls.from_closure(SubgroupClosure.trivial(Modulus(p, 1)), ())
+        return cls(SubgroupClosure.trivial(Modulus(p, 1)))
+
+    @property
+    def p(self) -> int:
+        return self.closure.modulus.p
 
     @property
     def order(self) -> int:
-        return len(self.elements)
-
-    def canonical(self) -> tuple[Tuple4, ...]:
-        return tuple(sorted(self.elements))
-
-    def contains(self, t: Tuple4) -> bool:
-        return t in self.elements
-
-
-@dataclass(frozen=True)
-class FpLieSubalgebra:
-    """A Lie subalgebra of sl(2, F_p) as a reduced echelon basis."""
-
-    p: int
-    basis: tuple[Vec, ...]
-
-    @classmethod
-    def spanned_by(cls, p: int, vectors: Iterable[Vec]) -> "FpLieSubalgebra":
-        return cls(p, _echelon_basis(vectors, p))
+        return self.closure.order
 
     @property
-    def dim(self) -> int:
-        return len(self.basis)
+    def elements(self) -> frozenset[Tuple4]:
+        """The elements as (a, b, c, d) tuples, derived from the closure."""
+        return frozenset(self.closure.iter_tuples())
 
-    def contains(self, v: Vec) -> bool:
-        return _in_span(self.basis, v, self.p)
+    def canonical(self) -> tuple[Tuple4, ...]:
+        return tuple(self.closure.iter_tuples())
 
-    def elements(self) -> Iterator[Vec]:
-        p = self.p
-        for coeffs in product(range(p), repeat=self.dim):
-            v = (0, 0, 0)
-            for t, b in zip(coeffs, self.basis):
-                v = vec_add(v, vec_scale(t, b, p), p)
-            yield v
-
-    def is_bracket_closed(self) -> bool:
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                if not self.contains(bracket(self.basis[i], self.basis[j], self.p)):
-                    return False
-        return True
+    def contains(self, t: Tuple4) -> bool:
+        return self.closure.contains_tuple(t)
 
 
-def _echelon_basis(vectors: Iterable[Vec], p: int) -> tuple[Vec, ...]:
-    """Reduced row echelon basis of a span inside F_p^3 (canonical)."""
-    basis: list[list[int]] = []
-    pivots: list[int] = []
-    for vec in vectors:
-        v = [x % p for x in vec]
-        for b, lead in zip(basis, pivots):
-            if v[lead]:
-                f = v[lead]
-                v = [(x - f * y) % p for x, y in zip(v, b)]
-        if not any(v):
-            continue
-        lead = next(i for i in range(3) if v[i])
-        inv = pow(v[lead], -1, p)
-        v = [(x * inv) % p for x in v]
-        for idx, b in enumerate(basis):
-            f = b[lead]
-            if f:
-                basis[idx] = [(x - f * y) % p for x, y in zip(b, v)]
-        basis.append(v)
-        pivots.append(lead)
-    order = sorted(range(len(basis)), key=lambda i: pivots[i])
-    return tuple(tuple(basis[i]) for i in order)
-
-
-def _in_span(basis: Sequence[Vec], v: Vec, p: int) -> bool:
-    v = [x % p for x in v]
-    for b in basis:
-        lead = next(i for i in range(3) if b[i] != 0)
-        if v[lead]:
-            f = v[lead]
-            v = [(x - f * y) % p for x, y in zip(v, b)]
-    return not any(v)
-
-
-def _is_nilpotent_vec(v: Vec, p: int) -> bool:
-    # (a, b, c) on (e, h, f) is the matrix [[b, a], [c, -b]]; nilpotent iff
-    # the determinant -(b^2 + a c) vanishes
-    a, b, c = v
-    return (b * b + a * c) % p == 0
+def _bracket_witness(L: LieLattice, m: int) -> tuple[Vec, Vec] | None:
+    """A pair of generators of L whose bracket lies outside L + p^m sl2,
+    or None when there is none."""
+    gens, q = L.generators, L.modulus.pN
+    for i in range(len(gens)):
+        for j in range(i + 1, len(gens)):
+            if not membership_mod(L, bracket(gens[i], gens[j], q), m):
+                return gens[i], gens[j]
+    return None
 
 
 def unipotent_elements(H: FpSubgroup) -> frozenset[Tuple4]:
     """{x in H : (x - 1)^2 = 0 over F_p}; equals {x : x^p = 1} on SL(2)."""
-    p = H.p
-    out = set()
-    for a, b, c, d in H.elements:
-        # (x - 1)^2 = x^2 - 2x + 1 = (tr x) x - x - x + ... use entries directly
-        e11 = ((a - 1) * (a - 1) + b * c) % p
-        e12 = (b * (a + d - 2)) % p
-        e21 = (c * (a + d - 2)) % p
-        e22 = ((d - 1) * (d - 1) + b * c) % p
-        if e11 == 0 and e12 == 0 and e21 == 0 and e22 == 0:
-            out.add((a, b, c, d))
-    return frozenset(out)
+    cols = H.closure.columns()
+    unipotent = residually_unipotent_columns(cols, H.p)
+    return frozenset(zip(*(x[unipotent].tolist() for x in cols)))
 
 
 def h_plus(H: FpSubgroup) -> FpSubgroup:
@@ -223,43 +155,30 @@ def h_plus(H: FpSubgroup) -> FpSubgroup:
     return result
 
 
-def liec_bar(H: FpSubgroup) -> FpLieSubalgebra:
-    """F_p-span of the truncated logarithms of the unipotents of H.
+def liec_bar(H: FpSubgroup) -> LieLattice:
+    """F_p-span of the truncated logarithms of the unipotents of H:
+    ``liec_padic`` at precision 1.
 
     The span is expected to be bracket-closed for p large; a failure raises
     a recorded anomaly rather than passing silently.
     """
-    if H.p < 5:
-        raise UnsupportedPrime("mod-p correspondence needs p >= 5")
-    modulus = Modulus(H.p, 1)
-    vecs = []
-    for t in unipotent_elements(H):
-        logmat = log_trunc(_tuple_to_mat(t, modulus))
-        vecs.append(mat_to_vec(logmat))
-    algebra = FpLieSubalgebra.spanned_by(H.p, vecs)
-    if not algebra.is_bracket_closed():
+    L = liec_padic(H.closure, Modulus(H.p, 1))
+    if _bracket_witness(L, 1) is not None:
         raise BracketClosureAnomaly(
             "span of logarithms is not bracket-closed", p=H.p, witness=H.canonical()
         )
-    return algebra
+    return L
 
 
-def grpc_bar(L: FpLieSubalgebra) -> FpSubgroup:
-    """Subgroup generated by exp of every nilpotent element of L (all
-    F_p-multiples of nilpotents are again elements of L, so enumerating the
-    nilpotent stratum covers the one-parameter subgroups)."""
-    if L.p < 5:
-        raise UnsupportedPrime("mod-p correspondence needs p >= 5")
-    modulus = Modulus(L.p, 1)
-    pool = [
-        exp_trunc(vec_to_mat(v, modulus))
-        for v in L.elements()
-        if _is_nilpotent_vec(v, L.p)
-    ]
-    return FpSubgroup.from_closure(
-        closure_of_pool(pool, modulus),
-        tuple((m.rows[0][0], m.rows[0][1], m.rows[1][0], m.rows[1][1]) for m in pool),
-    )
+def grpc_bar(L: LieLattice) -> FpSubgroup:
+    """Subgroup generated by exp of every nilpotent element of L, a lattice
+    at precision 1: ``grpc_padic``, whose stratum at N = 1 is every
+    nilpotent element (all F_p-multiples of nilpotents are again elements
+    of L, so this covers the one-parameter subgroups)."""
+    if L.modulus.N != 1:
+        raise PreconditionViolation(f"grpc_bar takes a lattice at precision 1, not {L.modulus.N}")
+    closure = grpc_padic(L)
+    return FpSubgroup(closure, closure.generators)
 
 
 def enumerate_unipotent_generated(p: int, *, cap: int = DEFAULT_ENUM_CAP) -> list[FpSubgroup]:
@@ -301,7 +220,7 @@ def enumerate_unipotent_generated(p: int, *, cap: int = DEFAULT_ENUM_CAP) -> lis
                 if key not in seen:
                     if len(seen) + 1 > cap:
                         raise BudgetExceeded(f"subgroup count exceeded cap {cap}")
-                    extended = FpSubgroup.from_closure(closure, (*H.generator_record, u))
+                    extended = FpSubgroup(closure, (*H.generator_record, u))
                     seen[key] = extended
                     nxt.append(extended)
         frontier = nxt
@@ -316,17 +235,38 @@ def enumerate_unipotent_generated(p: int, *, cap: int = DEFAULT_ENUM_CAP) -> lis
     return subgroups
 
 
-def enumerate_nilpotently_generated(p: int) -> list[FpLieSubalgebra]:
+# Subspaces of one dimension are scanned this many at a time.
+_SUBSPACE_BLOCK = 16
+
+
+def enumerate_nilpotently_generated(p: int) -> list[LieLattice]:
     """All Lie subalgebras of sl(2, F_p) spanned by their nilpotent
-    elements, by scanning every subspace of F_p^3."""
+    elements, as lattices at precision 1, by scanning every subspace of
+    F_p^3.
+
+    The points of a block of subspaces of one dimension k are formed at
+    once.  A subspace needs k independent nilpotent lines, so at least
+    1 + k (p - 1) nilpotent points; only such a subspace becomes a lattice,
+    whose bracket closure is checked and which is compared with the lattice
+    its nilpotent points span.
+    """
+    modulus = Modulus(p, 1)
     out = []
-    for basis in _all_subspaces(p):
-        algebra = FpLieSubalgebra(p, basis)
-        if not algebra.is_bracket_closed():
-            continue
-        nilpotents = [v for v in algebra.elements() if _is_nilpotent_vec(v, p)]
-        if FpLieSubalgebra.spanned_by(p, nilpotents).basis == algebra.basis:
-            out.append(algebra)
+    for k, group in groupby(_all_subspaces(p), key=len):
+        coeffs = np.array(list(product(range(p), repeat=k)), dtype=np.int64).reshape(p**k, k)
+        group = list(group)
+        for lo in range(0, len(group), _SUBSPACE_BLOCK):
+            block = group[lo:lo + _SUBSPACE_BLOCK]
+            bases = np.array(block, dtype=np.int64).reshape(len(block), k, 3)
+            points = coeffs @ bases % p  # subspace x point x coordinate
+            x, y, z = np.moveaxis(points, -1, 0)
+            nilpotent = (y * y + x * z) % p == 0  # det of [[y, x], [z, -y]] is 0
+            for i in np.flatnonzero(nilpotent.sum(axis=1) >= 1 + k * (p - 1)):
+                L = LieLattice.from_columns(block[i], modulus)
+                if _bracket_witness(L, 1) is not None:
+                    continue
+                if LieLattice.from_columns(points[i][nilpotent[i]].tolist(), modulus) == L:
+                    out.append(L)
     return out
 
 
@@ -400,17 +340,13 @@ def liec_padic(
         lattice = LieLattice.from_columns(span_cols, modulus)
         rest = rest[1:]
         rest = rest[~membership_mod_columns(lattice, tuple(x[rest] for x in v), modulus.N)]
-    gens = lattice.generators
-    q = modulus.pN
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            br = bracket(gens[i], gens[j], q)
-            if not membership_mod(lattice, br, modulus.N - 1):
-                raise BracketClosureAnomaly(
-                    "logarithm span is not bracket-closed at precision N - 1",
-                    p=modulus.p,
-                    witness=(gens[i], gens[j]),
-                )
+    witness = _bracket_witness(lattice, modulus.N - 1)
+    if witness is not None:
+        raise BracketClosureAnomaly(
+            "logarithm span is not bracket-closed at precision N - 1",
+            p=modulus.p,
+            witness=witness,
+        )
     return lattice
 
 
@@ -437,7 +373,7 @@ def resnilp_stratum(
     for lo in range(0, total, _STRATUM_BLOCK):
         index = np.arange(lo, min(lo + _STRATUM_BLOCK, total))
         a, b, c = combination_columns(L.generators, sizes, ps, index)
-        nilpotent = (b * b + a * c) % p == 0  # as in _is_nilpotent_vec
+        nilpotent = (b * b + a * c) % p == 0  # det of [[b, a], [c, -b]] is 0
         parts.append((a[nilpotent], b[nilpotent], c[nilpotent]))
     v = tuple(np.concatenate(col) for col in zip(*parts))
     _, first = np.unique(_vec_codes(v, ps), return_index=True)
@@ -526,16 +462,16 @@ def roundtrip_check_fp(p: int) -> RoundtripReport:
         report.anomalies.append(str(exc))
         return report
     report.subgroup_count = len(subgroups)
-    closed: dict[tuple[Vec, ...], FpSubgroup] = {}  # grpc_bar(L) by L.basis
+    closed: dict[LieLattice, FpSubgroup] = {}  # grpc_bar(L) by L
     for H in subgroups:
         try:
             L = liec_bar(H)
-            back = closed[L.basis] = grpc_bar(L)
+            back = closed[L] = grpc_bar(L)
         except BracketClosureAnomaly as exc:
             report.anomalies.append(str(exc))
             continue
         report.checked += 1
-        if back.elements != H.elements:
+        if not np.array_equal(back.closure.codes, H.closure.codes):
             report.failures.append(
                 {"direction": "group", "order": H.order, "witness": H.generator_record}
             )
@@ -543,13 +479,13 @@ def roundtrip_check_fp(p: int) -> RoundtripReport:
     report.algebra_count = len(algebras)
     for L in algebras:
         try:
-            back_l = liec_bar(closed[L.basis] if L.basis in closed else grpc_bar(L))
+            back_l = liec_bar(closed[L] if L in closed else grpc_bar(L))
         except BracketClosureAnomaly as exc:
             report.anomalies.append(str(exc))
             continue
         report.checked += 1
-        if back_l.basis != L.basis:
-            report.failures.append({"direction": "algebra", "dim": L.dim, "basis": L.basis})
+        if back_l != L:
+            report.failures.append({"direction": "algebra", "dim": L.rank, "basis": L.basis})
     return report
 
 

@@ -23,7 +23,7 @@ from .core import (
     mat_inverse,
 )
 from .enumeration import _factorize, sl2_columns, sl2_point_count
-from .errors import BudgetExceeded, ModulusMismatch, PreconditionViolation
+from .errors import BudgetExceeded, InvariantViolation, ModulusMismatch, PreconditionViolation
 from .lattice import BASIS, adjoint_matrix
 
 Tuple4 = tuple[int, int, int, int]
@@ -209,7 +209,7 @@ def phi_gamma0(x: MatP, n: int) -> Fraction:
         value = unit_density * Fraction(1, p ** (-((n - r) // -2)))
     brute = Fraction(fixed_points_P1(x, p, n), projective_line_size(p, n))
     if value != brute:
-        raise AssertionError(
+        raise InvariantViolation(
             f"closed form {value} disagrees with the fixed-point count {brute}"
         )
     return value
@@ -293,7 +293,7 @@ def c_delta(gamma: Sequence[Sequence[int]], spec: Gamma0Spec | GammaFullSpec,
         formula = projective_line_size_composite(M)
         order_ratio = sl2_point_count(M) // _borel_order(M)
         if index != formula or index != order_ratio:
-            raise AssertionError("index formula, enumeration and order ratio disagree")
+            raise InvariantViolation("index formula, enumeration and order ratio disagree")
         count = 0
         for X, Y in pts:
             u = (ga * X + gb * Y) % M

@@ -268,6 +268,16 @@ def test_group_certificate_examples():
     assert not group_certificate(deep_gens, anything, 4)
 
 
+def test_group_certificate_rejects_elements_not_trivial_mod_p():
+    m = Modulus(5, 3)
+    I = LieLattice.from_columns([(1, 0, 0)], m)
+    gens = [MatP.of([[1, 1], [0, 1]], m)]
+    with pytest.raises(PreconditionViolation):
+        group_certificate(gens, I, 1)
+    with pytest.raises(PreconditionViolation):
+        group_certificate(closure_of_generators(gens), I, 1)
+
+
 def test_group_certificate_worst_case_all_candidates():
     # At p = 3, n = 4, H = closure of exp(p * W) (a uniform group, so its
     # logarithm set is exactly p * W): the certificate condition

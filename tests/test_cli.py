@@ -151,3 +151,23 @@ def test_out_file(capsys, tmp_path):
     assert code == 0
     rep = json.loads(path.read_text())
     assert rep["command"] == "count"
+
+
+def test_invariant_violation_is_not_a_config_error(monkeypatch, capsys):
+    # a broken invariant is a bug: it propagates instead of exiting 2
+    from padiclie import cli
+    from padiclie.errors import InvariantViolation, PrecisionExceeded
+
+    def broken(args):
+        raise InvariantViolation("pivoting invariant broken")
+
+    monkeypatch.setattr(cli, "_cmd_nori", broken)
+    with pytest.raises(InvariantViolation):
+        main(["nori", "--p", "5"])
+
+    def misconfigured(args):
+        raise PrecisionExceeded("m = 9 outside [0, 3]")
+
+    monkeypatch.setattr(cli, "_cmd_nori", misconfigured)
+    assert main(["nori", "--p", "5"]) == 2
+    assert "config error" in capsys.readouterr().err

@@ -251,3 +251,81 @@ def test_point_columns_match_iter_points(case):
     sizes = [lat.modulus.p ** (lat.modulus.N - d) for d in lat.divisors if d < lat.modulus.N]
     window = combination_columns(lat.generators, sizes, lat.modulus.pN, index)
     assert all(np.array_equal(x[index], y) for x, y in zip(cols, window))
+
+
+# ---------------------------------------------------------------------------
+# The canonical (Howell) basis
+# ---------------------------------------------------------------------------
+
+
+def _points(lat):
+    # point_columns lists what iter_points yields (test above)
+    return set(zip(*(x.tolist() for x in lat.point_columns())))
+
+
+def test_canonical_basis_examples():
+    # at N = 1, the reduced row echelon basis
+    L = LieLattice.from_columns([(2, 4, 1), (0, 3, 3)], Modulus(5, 1))
+    assert L.basis == ((1, 0, 1), (0, 1, 1))
+    # 3 * (3, 1, 0) = (0, 3, 0) mod 9 joins as a row of its own
+    L = LieLattice.from_columns([(3, 1, 0)], Modulus(3, 2))
+    assert L.basis == ((3, 1, 0), (0, 3, 0))
+    assert LieLattice.from_columns([], Modulus(3, 2)).basis == ()
+    assert LieLattice.ambient(Modulus(2, 3)).basis == BASIS
+
+
+def test_equal_divisors_different_spans_are_unequal():
+    m = Modulus(5, 2)
+    e = LieLattice.from_columns([(1, 0, 0)], m)
+    f = LieLattice.from_columns([(0, 0, 1)], m)
+    assert e.divisors == f.divisors and e != f and len({e, f}) == 2
+    m = Modulus(3, 2)
+    a = LieLattice.from_columns([(3, 0, 0), (0, 1, 0)], m)
+    b = LieLattice.from_columns([(0, 3, 0), (1, 0, 0)], m)
+    assert a.divisors == b.divisors == (0, 1, 2)
+    assert a != b and len({a, b}) == 2
+
+
+@st.composite
+def _lattice_pairs(draw):
+    """Two lattices at one modulus p^N <= 49, from zero to four columns,
+    often rank-deficient.  The second list is random, or random
+    combinations of the first list's columns joined by all of them (the
+    same lattice) or by some of them."""
+    p, N = draw(st.sampled_from(
+        [(2, 1), (2, 2), (2, 3), (2, 5), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1), (7, 2)]
+    ))
+    m = Modulus(p, N)
+    q = m.pN
+    rng = random.Random(draw(st.integers(0, 2**32)))
+
+    def column():
+        return tuple(rng.randrange(q) * p ** rng.randrange(N + 1) % q for _ in range(3))
+
+    first = [column() for _ in range(rng.randrange(5))]
+    mode = rng.choice(["random", "same", "some"])
+    if mode == "random" or not first:
+        second = [column() for _ in range(rng.randrange(5))]
+    else:
+        second = []
+        for _ in range(rng.randrange(4)):
+            v = (0, 0, 0)
+            for c in first:
+                v = vec_add(v, vec_scale(rng.randrange(q), c, q), q)
+            second.append(v)
+        keep = len(first) if mode == "same" else rng.randrange(len(first) + 1)
+        second += rng.sample(first, keep)
+        rng.shuffle(second)
+    return LieLattice.from_columns(first, m), LieLattice.from_columns(second, m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_lattice_pairs())
+def test_canonical_basis_decides_equality(pair):
+    a, b = pair
+    same = _points(a) == _points(b)
+    assert (a == b) == same
+    if same:
+        assert hash(a) == hash(b) and a.basis == b.basis
+    for lat in pair:
+        assert _points(LieLattice.from_columns(lat.basis, lat.modulus)) == _points(lat)

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from padiclie import (
-    FpLieSubalgebra,
     FpSubgroup,
     LieLattice,
     MatP,
@@ -27,11 +26,12 @@ from padiclie.core import (
     closure_of_pool,
     in_principal_congruence,
     reduction_kernel_generators,
+    residually_nilpotent,
     residually_unipotent,
 )
 from padiclie.enumeration import sl2_columns
-from padiclie.errors import ClosureBudgetExceeded, UnsupportedPrime
-from padiclie.explog import exp_extended, log_extended
+from padiclie.errors import ClosureBudgetExceeded, PreconditionViolation, UnsupportedPrime
+from padiclie.explog import exp_extended, exp_trunc, log_extended, log_trunc
 from padiclie.lattice import mat_to_vec, membership_mod, vec_add, vec_scale, vec_to_mat
 from padiclie.nori import (
     _kernel_logs,
@@ -46,6 +46,9 @@ def _sl2_fp(p):
     return frozenset(zip(*(x.tolist() for x in sl2_columns(p))))
 
 
+SL2_GENERATORS = [(1, 1, 0, 1), (1, 0, 1, 1)]
+
+
 def _cyclic(p, t4):
     return FpSubgroup.generated_by(p, [t4])
 
@@ -58,8 +61,9 @@ def test_unipotent_elements_examples():
     torus = FpSubgroup.generated_by(5, [(2, 0, 0, 3)])
     assert unipotent_elements(torus) == {(1, 0, 0, 1)}
 
-    full = FpSubgroup(5, _sl2_fp(5))
+    full = FpSubgroup.generated_by(5, SL2_GENERATORS)
     assert full.order == 120
+    assert full.elements == _sl2_fp(5)
     assert len(unipotent_elements(full)) == 25  # p^2 unipotents, identity included
 
 
@@ -82,21 +86,21 @@ def test_h_plus_examples():
 def test_liec_bar_examples():
     p = 5
     assert liec_bar(_cyclic(p, (1, 1, 0, 1))).basis == ((1, 0, 0),)
-    full = FpSubgroup(p, _sl2_fp(p))
-    assert liec_bar(full).dim == 3
+    full = FpSubgroup.generated_by(p, SL2_GENERATORS)
+    assert liec_bar(full).rank == 3
     torus = FpSubgroup.generated_by(p, [(2, 0, 0, 3)])
-    assert liec_bar(torus).dim == 0
+    assert liec_bar(torus).rank == 0
     with pytest.raises(UnsupportedPrime):
         liec_bar(_cyclic(3, (1, 1, 0, 1)))
 
 
 def test_grpc_bar_examples():
     p = 5
-    line = FpLieSubalgebra.spanned_by(p, [(1, 0, 0)])
+    line = LieLattice.from_columns([(1, 0, 0)], Modulus(p, 1))
     assert grpc_bar(line).order == p
-    full = FpLieSubalgebra.spanned_by(p, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    full = LieLattice.from_columns([(1, 0, 0), (0, 1, 0), (0, 0, 1)], Modulus(p, 1))
     assert grpc_bar(full).order == 120
-    cartan = FpLieSubalgebra.spanned_by(p, [(0, 1, 0)])
+    cartan = LieLattice.from_columns([(0, 1, 0)], Modulus(p, 1))
     assert grpc_bar(cartan).order == 1
 
 
@@ -117,7 +121,7 @@ def test_enumerate_unipotent_generated(p):
 
 def test_nilpotently_generated_enumeration():
     algebras = enumerate_nilpotently_generated(5)
-    dims = sorted(L.dim for L in algebras)
+    dims = sorted(L.rank for L in algebras)
     assert dims == [0] + [1] * 6 + [3]  # zero, the p + 1 nilpotent lines, sl2
 
 
@@ -140,6 +144,32 @@ def test_roundtrip_fp_closes_each_algebra_once(monkeypatch):
     rep = roundtrip_check_fp(7)
     assert rep.passed and rep.checked == 20
     assert len(calls) == len(set(calls)) == 10
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_fp_round_trip_maps_match_truncated_series(p):
+    # liec_bar and grpc_bar run the precision-N code at N = 1; the per-element
+    # truncated log / exp over F_p is the oracle
+    m = Modulus(p, 1)
+    for H in enumerate_unipotent_generated(p):
+        logs = [
+            mat_to_vec(log_trunc(_mat(t, m)))
+            for t in H.closure.iter_tuples()
+            if residually_unipotent(_mat(t, m))
+        ]
+        assert liec_bar(H) == LieLattice.from_columns(logs, m)
+    for L in enumerate_nilpotently_generated(p):
+        pool = [
+            exp_trunc(vec_to_mat(v, m))
+            for v in L.iter_points()
+            if residually_nilpotent(vec_to_mat(v, m))
+        ]
+        assert np.array_equal(grpc_bar(L).closure.codes, closure_of_pool(pool, m).codes)
+
+
+def test_grpc_bar_needs_precision_one():
+    with pytest.raises(PreconditionViolation):
+        grpc_bar(LieLattice.from_columns([(1, 0, 0)], Modulus(5, 2)))
 
 
 def test_liec_bar_depends_only_on_h_plus():
@@ -197,7 +227,7 @@ def test_grpc_padic_reduces_to_grpc_bar():
         reduced = {
             (a % 5, b % 5, c % 5, d % 5) for a, b, c, d in G.iter_tuples()
         }
-        Lbar = FpLieSubalgebra.spanned_by(5, [tuple(x % 5 for x in col) for col in cols])
+        Lbar = LieLattice.from_columns([tuple(x % 5 for x in col) for col in cols], Modulus(5, 1))
         assert reduced == grpc_bar(Lbar).elements
 
 

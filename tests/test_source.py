@@ -10,13 +10,20 @@ import padiclie
 SOURCES = sorted(Path(padiclie.__file__).resolve().parent.glob("*.py"))
 
 
+def _raises_assertion_error(node) -> bool:
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
+
 def test_library_has_no_assert_statements():
-    # invariant checks must survive python -O, which strips assert
+    # invariant checks must survive python -O, which strips assert, and
+    # raise the typed InvariantViolation, not AssertionError
     found = [
         f"{path.name}:{node.lineno}"
         for path in SOURCES
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if isinstance(node, ast.Assert)
+        or isinstance(node, ast.Raise) and node.exc is not None and _raises_assertion_error(node)
     ]
     assert len(SOURCES) > 5
     assert found == []
