@@ -219,7 +219,7 @@ class MatP:
         pN = modulus.pN
         for row in rows:
             for a in row:
-                if not isinstance(a, int) or not 0 <= a < pN:
+                if not isinstance(a, int) or isinstance(a, bool) or not 0 <= a < pN:
                     raise ValueError(f"matrix literal entry {a!r} outside [0, {pN})")
         return cls(tuple(tuple(row) for row in rows), modulus)
 
@@ -734,13 +734,14 @@ class SubgroupClosure:
         """The elements as (a, b, c, d), in increasing code order."""
         return _iter_tuples(self._codes, self.q)
 
-    def double_coset(self, g: MatP) -> frozenset[Tuple4]:
-        """H g H, from all |H|^2 products; <H, x> = <H, g> for each x in it."""
+    def double_coset(self, g: MatP) -> np.ndarray:
+        """The sorted codes of H g H, from all |H|^2 products; <H, x> =
+        <H, g> for each x in it."""
         q = self.q
         h = _decode(self._codes, q)
         left = mul_columns(h, _mat_to_tuple(g), q)
         cols = mul_columns(tuple(x[:, None] for x in left), tuple(x[None, :] for x in h), q)
-        return frozenset(_iter_tuples(np.unique(_encode(*cols, q)), q))
+        return np.unique(_encode(*cols, q))
 
 
 def _iter_tuples(codes: np.ndarray, q: int) -> Iterator[Tuple4]:

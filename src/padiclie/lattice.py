@@ -311,12 +311,20 @@ class LieLattice:
 
     @classmethod
     def from_json(cls, obj: dict) -> "LieLattice":
+        """Parse the lattice literal {"p":..,"N":..,"columns":[[x, y, z], ..]}.
+
+        JSON integers must already lie in [0, p^N); anything else is a
+        config error, not something to normalize silently.
+        """
         modulus = Modulus(int(obj["p"]), int(obj["N"]))
-        cols = [tuple(int(x) for x in col) for col in obj["columns"]]
+        cols = obj["columns"]
         pN = modulus.pN
         for col in cols:
-            if len(col) != 3 or any(not 0 <= x < pN for x in col):
-                raise ValueError(f"lattice literal column {col} outside [0, {pN})^3")
+            if len(col) != 3:
+                raise ValueError(f"lattice literal column {col!r} does not have 3 entries")
+            for x in col:
+                if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < pN:
+                    raise ValueError(f"lattice literal entry {x!r} outside [0, {pN})")
         return cls.from_columns(cols, modulus)
 
     def to_json(self) -> dict:
@@ -497,14 +505,13 @@ def membership_mod_columns(lat: LieLattice, v, m: int) -> np.ndarray:
 
 
 def combination_columns(
-    gens: Sequence[Vec], sizes: Sequence[int], q: int, index: np.ndarray | None = None
+    gens: Sequence[Vec], sizes: Sequence[int], q: int
 ) -> tuple[np.ndarray, ...]:
     """Coordinate columns of the sums t_1 g_1 + t_2 g_2 + ... mod q with
     0 <= t_i < sizes[i], in ``itertools.product`` order (the last t varies
-    fastest): all of them, or those at the flat positions ``index``."""
+    fastest)."""
     stride = prod(sizes)
-    if index is None:
-        index = np.arange(stride)
+    index = np.arange(stride)
     dtype = column_dtype(2 * q * q)
     cols = tuple(np.zeros(len(index), dtype=dtype) for _ in range(3))
     for g, size in zip(gens, sizes):

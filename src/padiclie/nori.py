@@ -10,7 +10,10 @@ residually nilpotent stratum.  The two defining identities
     span(log H_resunip) cap p sl2 = log(H cap K(p))
     <exp h_resnilp> cap K(p)      = exp(h cap p sl2)
 
-are checked as literal set equalities on enumerated elements.
+are checked as literal set equalities on enumerated elements, at every N:
+``grpc_padic`` closes a complete generator set, one point of h per
+residually nilpotent class mod p and a basis of h cap p sl2 (its docstring
+gives the argument).
 
 Over F_p this is Nori's correspondence (Nori, Invent. Math. 88, 1987):
 unipotent-generated subgroups of SL(2, F_p) correspond to nilpotently
@@ -162,7 +165,7 @@ def liec_bar(H: FpSubgroup) -> LieLattice:
     The span is expected to be bracket-closed for p large; a failure raises
     a recorded anomaly rather than passing silently.
     """
-    L = liec_padic(H.closure, Modulus(H.p, 1))
+    L = liec_padic(H.closure)
     if _bracket_witness(L, 1) is not None:
         raise BracketClosureAnomaly(
             "span of logarithms is not bracket-closed", p=H.p, witness=H.canonical()
@@ -197,11 +200,11 @@ def enumerate_unipotent_generated(p: int, *, cap: int = DEFAULT_ENUM_CAP) -> lis
         raise BudgetExceeded("enumeration is budgeted for p in {5, 7, 11, 13}")
     modulus = Modulus(p, 1)
     cols = sl2_columns(p)
-    unipotent = residually_unipotent_columns(cols, p)
-    all_unips = [
-        (u, _tuple_to_mat(u, modulus))
-        for u in sorted(zip(*(x[unipotent].tolist() for x in cols)))
-    ]
+    unip = tuple(x[residually_unipotent_columns(cols, p)] for x in cols)
+    codes = element_codes(unip, p)
+    order = np.argsort(codes)
+    unip, unip_codes = tuple(x[order] for x in unip), codes[order]
+    all_unips = [(u, _tuple_to_mat(u, modulus)) for u in zip(*(x.tolist() for x in unip))]
     # a closure's sorted code array is canonical, so its bytes key the subgroup
     seen: dict[bytes, FpSubgroup] = {}
     trivial = FpSubgroup.trivial(p)
@@ -210,12 +213,12 @@ def enumerate_unipotent_generated(p: int, *, cap: int = DEFAULT_ENUM_CAP) -> lis
     while frontier:
         nxt = []
         for H in frontier:
-            done = set(H.elements)  # unipotents u whose <H, u> is known
-            for u, umat in all_unips:
-                if u in done:
+            done = H.closure.contains_columns(*unip)  # unipotents u whose <H, u> is known
+            for i, (u, umat) in enumerate(all_unips):
+                if done[i]:
                     continue
                 closure = H.closure.extend(umat)
-                done |= H.closure.double_coset(umat)
+                done |= np.isin(unip_codes, H.closure.double_coset(umat), assume_unique=True)
                 key = closure.codes.tobytes()
                 if key not in seen:
                     if len(seen) + 1 > cap:
@@ -295,10 +298,6 @@ def _all_subspaces(p: int) -> Iterator[tuple[Vec, ...]]:
 # ---------------------------------------------------------------------------
 
 
-# The stratum is enumerated this many classes at a time.
-_STRATUM_BLOCK = 1 << 16
-
-
 def _vec_codes(v, q: int) -> np.ndarray:
     """Codes (x q + y) q + z of coordinate columns, one per vector."""
     x, y, z = as_columns(v, q**3)
@@ -306,13 +305,11 @@ def _vec_codes(v, q: int) -> np.ndarray:
 
 
 def liec_padic(
-    generators: Sequence[MatP] | SubgroupClosure,
-    modulus: Modulus | None = None,
-    *,
-    cap: int = DEFAULT_CLOSURE_CAP,
+    generators: Sequence[MatP] | SubgroupClosure, *, cap: int = DEFAULT_CLOSURE_CAP
 ) -> LieLattice:
     """Span of the logarithms of all residually unipotent elements of the
-    generated subgroup, as a lattice at precision N (p >= 5).
+    generated subgroup, as a lattice at precision N (p >= 5), at the
+    modulus of the generators or of the given closure.
 
     The span grows greedily in code order: the first logarithm outside the
     lattice so far joins the spanning list, the lattice is rebuilt, and the
@@ -321,11 +318,9 @@ def liec_padic(
     """
     if isinstance(generators, SubgroupClosure):
         closure = generators
-        if modulus is None:
-            raise ValueError("modulus required with a precomputed closure")
     else:
-        modulus = generators[0].modulus
         closure = closure_of_generators(generators, cap=cap)
+    modulus = closure.modulus
     if modulus.p < 5:
         raise UnsupportedPrime("precision-N correspondence needs p >= 5")
     cols = closure.columns()
@@ -350,67 +345,60 @@ def liec_padic(
     return lattice
 
 
-def resnilp_stratum(
-    L: LieLattice, *, sample_exponent: int | None = None, cap: int = DEFAULT_ENUM_CAP
-) -> tuple[np.ndarray, ...]:
-    """Representatives of the residually nilpotent elements of L, complete
-    modulo p^min(N, 3) (or the requested exponent), as coordinate columns.
+def resnilp_stratum(L: LieLattice, *, cap: int = DEFAULT_ENUM_CAP) -> tuple[np.ndarray, ...]:
+    """One point of L in each residually nilpotent class of L mod p, as
+    coordinate columns mod p^N.
 
-    Enumerates the image of L modulo p^s through its adapted generators, a
-    bounded block at a time, and keeps the classes whose mod-p reduction is
-    nilpotent, lifted by their canonical representatives, each at its first
-    occurrence in enumeration order.
+    The points are the sums of t_i times the adapted generators of divisor
+    0, each t_i in [0, p), in ``itertools.product`` order, kept when
+    nilpotent mod p.  The adapted basis is unimodular, so these at most p^3
+    points are distinct mod p and meet every class of L mod p.
     """
-    modulus = L.modulus
-    p, N = modulus.p, modulus.N
-    s = min(N, 3) if sample_exponent is None else min(sample_exponent, N)
-    ps = p**s
-    sizes = [p ** max(s - d, 0) for d in L.divisors if d < N]
+    p, N = L.modulus.p, L.modulus.N
+    sizes = [p if d == 0 else 1 for d in L.divisors if d < N]
     total = prod(sizes)
     if total > cap:
         raise BudgetExceeded(f"stratum enumeration size {total} exceeds cap {cap}")
-    parts = []
-    for lo in range(0, total, _STRATUM_BLOCK):
-        index = np.arange(lo, min(lo + _STRATUM_BLOCK, total))
-        a, b, c = combination_columns(L.generators, sizes, ps, index)
-        nilpotent = (b * b + a * c) % p == 0  # det of [[b, a], [c, -b]] is 0
-        parts.append((a[nilpotent], b[nilpotent], c[nilpotent]))
-    v = tuple(np.concatenate(col) for col in zip(*parts))
-    _, first = np.unique(_vec_codes(v, ps), return_index=True)
-    first.sort()
-    return tuple(x[first] for x in v)
+    a, b, c = combination_columns(L.generators, sizes, L.modulus.pN)
+    nilpotent = (b * b + a * c) % p == 0  # det of [[b, a], [c, -b]] is 0
+    return a[nilpotent], b[nilpotent], c[nilpotent]
 
 
-def grpc_padic(
-    L: LieLattice, *, cap: int = DEFAULT_CLOSURE_CAP, enum_cap: int = DEFAULT_ENUM_CAP
-) -> SubgroupClosure:
-    """Closure of the exponentials of the residually nilpotent stratum of L
-    (p >= 5).
+def grpc_padic(L: LieLattice, *, cap: int = DEFAULT_CLOSURE_CAP) -> SubgroupClosure:
+    """The subgroup <exp L_resnilp> generated by the exponentials of the
+    residually nilpotent elements of L (p >= 5), closed from a complete
+    generator set: exp of ``resnilp_stratum(L)`` followed by exp of the
+    adapted generators of L cap p sl2, in that order.
 
-    The stratum is enumerated exactly at precision min(N, 3); for deeper N
-    one refinement step is verified to add no new group elements, which
-    keeps the generator set faithful at desk scale.
+    Why the set is complete.  Every element of the set is exp of a
+    residually nilpotent point of L, so it generates a subgroup of
+    <exp L_resnilp>.  Conversely:
+
+    * for p >= 5, exp(L cap p sl2) is a uniform pro-p group, generated by
+      the exponentials of any basis of the lattice L cap p sl2 (Lazard,
+      Publ. IHES 26, 1965; Dixon, du Sautoy, Mann and Segal, *Analytic
+      Pro-p Groups*, ch. 4 and 9), so the closure contains it;
+    * a residually nilpotent x in L agrees mod p with one stratum point
+      x0, so x = x0 + y with y in L cap p sl2.  Since [x0, x0] = 0, every
+      bracket term of the Baker-Campbell-Hausdorff series for
+      log(exp(-x0) exp(x)) holds y, and [L, L cap p sl2] lies in
+      L cap p sl2; so exp(-x0) exp(x) lies in exp(L cap p sl2), and exp(x)
+      in the closure.
+
+    The sketch leaves the p-adic convergence of that series to the
+    references.  The tests compare the result with the closure of exp of
+    every residually nilpotent point of L.  At N = 1 the lattice
+    L cap p sl2 is zero and the set is exp of every nilpotent element of L.
     """
     modulus = L.modulus
-    p, N = modulus.p, modulus.N
-    if p < 5:
+    if modulus.p < 5:
         raise UnsupportedPrime("precision-N correspondence needs p >= 5")
-    q = modulus.pN
-    s = min(N, 3)
-    reps = resnilp_stratum(L, sample_exponent=s, cap=enum_cap)
-    pool = exp_extended_columns(vec_to_mat_columns(reps, q), modulus)
-    closure = SubgroupClosure.trivial(modulus).extend_by_pool(pool, cap=cap)
-    if N > s:
-        refined = resnilp_stratum(L, sample_exponent=s + 1, cap=enum_cap)
-        g = exp_extended_columns(vec_to_mat_columns(refined, q), modulus)
-        escaped = np.flatnonzero(~closure.contains_columns(*g))
-        if escaped.size:
-            raise BracketClosureAnomaly(
-                "stratum refinement escaped the closure; raise the sample depth",
-                p=p,
-                witness=tuple(int(x[escaped[0]]) for x in refined),
-            )
-    return closure
+    stratum = resnilp_stratum(L)
+    inner = L.intersect_scaled_ambient(1).generators
+    deep = np.array(inner, dtype=stratum[0].dtype).reshape(len(inner), 3)
+    v = tuple(np.concatenate(col) for col in zip(stratum, deep.T))
+    pool = exp_extended_columns(vec_to_mat_columns(v, modulus.pN), modulus)
+    return SubgroupClosure.trivial(modulus).extend_by_pool(pool, cap=cap)
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +510,7 @@ def roundtrip_check_padic(
     p, q = modulus.p, modulus.pN
     for gens in samples:
         closure = closure_of_generators(gens, cap=cap)
-        h = liec_padic(closure, modulus, cap=cap)
+        h = liec_padic(closure)
         report.subgroup_count += 1
 
         # identity one: span(log H_resunip) cap p sl2 = log(H cap K(p))

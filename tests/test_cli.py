@@ -44,6 +44,11 @@ def test_approx_lattice_input(capsys, tmp_path):
                               "--input", str(path)])
     assert code == 0
     assert rep["cases"][0]["m_achieved"] == 4
+    for bad in (1.7, "2", True):
+        lattice["columns"][0][1] = bad
+        path.write_text(json.dumps(lattice))
+        assert main(["approx", "--p", "3", "--n", "4", "--N", "7", "--input", str(path)]) == 2
+        assert "config error" in capsys.readouterr().err
 
 
 def test_approx_requires_headroom(capsys):

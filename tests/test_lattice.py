@@ -19,7 +19,6 @@ from padiclie import (
 from padiclie.errors import PrecisionExceeded, PrecisionExhausted
 from padiclie.lattice import (
     BASIS,
-    combination_columns,
     mat_to_vec,
     membership_mod_columns,
     vec_add,
@@ -83,6 +82,35 @@ def test_smith_idempotent_and_spans_match():
         assert again == lat
         for col in cols:
             assert membership_mod(lat, col, m.N)
+
+
+@st.composite
+def _column_lists(draw):
+    p = draw(st.sampled_from([3, 5, 7]))
+    N = draw(st.integers(1, 4))
+    q = p**N
+    entry = st.builds(lambda u, e: u * p**e % q, st.integers(0, q - 1), st.integers(0, N))
+    cols = draw(st.lists(st.tuples(entry, entry, entry), min_size=1, max_size=4))
+    return Modulus(p, N), cols
+
+
+@settings(max_examples=60, deadline=None)
+@given(_column_lists())
+def test_smith_divisors_match_sympy(case):
+    # the span mod p^N of integer columns has the elementary divisors
+    # gcd(d_i, p^N) of the integer Smith normal form d_1 | d_2 | d_3
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form
+
+    m, cols = case
+    snf = smith_normal_form(sympy.Matrix(3, len(cols), lambda i, j: cols[j][i]), domain=sympy.ZZ)
+    expected = [m.N] * 3
+    for i in range(min(3, len(cols))):
+        d, expected[i] = int(snf[i, i]), 0
+        while expected[i] < m.N and d % m.p == 0:
+            d //= m.p
+            expected[i] += 1
+    assert smith_form(cols, m).divisors == tuple(expected)
 
 
 def test_smith_precision_margin():
@@ -179,8 +207,9 @@ def test_lattice_json_roundtrip():
     L = LieLattice.from_columns([(0, 1, 0), (3, 0, 0), (0, 0, 27)], m)
     again = LieLattice.from_json(L.to_json())
     assert again == L
-    with pytest.raises(ValueError):
-        LieLattice.from_json({"p": 3, "N": 2, "columns": [[9, 0, 0]]})
+    for bad in ([9, 0, 0], [1.7, 0, 0], ["2", 0, 0], [True, 0, 0], [0, 1]):
+        with pytest.raises(ValueError):
+            LieLattice.from_json({"p": 3, "N": 2, "columns": [bad]})
 
 
 def test_point_enumeration_matches_count():
@@ -245,12 +274,6 @@ def test_point_columns_match_iter_points(case):
         lat = lat.scaled(lat.modulus.N - 1)
     cols = lat.point_columns()
     assert list(zip(*(x.tolist() for x in cols))) == list(lat.iter_points())
-    # any window of positions gives the same points
-    n = len(cols[0])
-    index = np.arange(n // 3, n)
-    sizes = [lat.modulus.p ** (lat.modulus.N - d) for d in lat.divisors if d < lat.modulus.N]
-    window = combination_columns(lat.generators, sizes, lat.modulus.pN, index)
-    assert all(np.array_equal(x[index], y) for x, y in zip(cols, window))
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from padiclie import (
     FpSubgroup,
@@ -23,16 +25,25 @@ from padiclie import (
 )
 from padiclie import explog, nori
 from padiclie.core import (
+    SubgroupClosure,
     closure_of_pool,
     in_principal_congruence,
     reduction_kernel_generators,
     residually_nilpotent,
+    residually_nilpotent_columns,
     residually_unipotent,
 )
 from padiclie.enumeration import sl2_columns
 from padiclie.errors import ClosureBudgetExceeded, PreconditionViolation, UnsupportedPrime
 from padiclie.explog import exp_extended, exp_trunc, log_extended, log_trunc
-from padiclie.lattice import mat_to_vec, membership_mod, vec_add, vec_scale, vec_to_mat
+from padiclie.lattice import (
+    mat_to_vec,
+    membership_mod,
+    vec_add,
+    vec_scale,
+    vec_to_mat,
+    vec_to_mat_columns,
+)
 from padiclie.nori import (
     _kernel_logs,
     enumerate_nilpotently_generated,
@@ -193,6 +204,12 @@ def test_liec_padic_examples():
     full_gens = [MatP.of([[1, 1], [0, 1]], m2), MatP.of([[1, 0], [1, 1]], m2)]
     assert liec_padic(full_gens).divisors == (0, 0, 0)
 
+    # a closure carries its modulus
+    m7 = Modulus(7, 2)
+    u7 = MatP.of([[1, 1], [0, 1]], m7)
+    assert liec_padic(closure_of_generators([u7])) == liec_padic([u7])
+    assert liec_padic(closure_of_generators([u7])).modulus == m7
+
 
 def test_liec_padic_agrees_with_log_image_on_pro_p():
     # for a pro-p input the span of logs is the log image itself
@@ -202,7 +219,7 @@ def test_liec_padic_agrees_with_log_image_on_pro_p():
     m = Modulus(5, 3)
     gens = list(reduction_kernel_generators(m, 1))
     closure = closure_of_generators(gens)
-    lat = liec_padic(closure, m)
+    lat = liec_padic(closure)
     logs = set()
     for t in closure.iter_tuples():
         g = MatP.of([[t[0], t[1]], [t[2], t[3]]], m)
@@ -257,6 +274,70 @@ def test_roundtrip_padic_borel_preimage():
 
 
 # ---------------------------------------------------------------------------
+# grpc_padic against its definition at every precision
+# ---------------------------------------------------------------------------
+
+
+def _grpc_oracle(h, cap):
+    """The closure of exp of every residually nilpotent point of h."""
+    m = h.modulus
+    mats = vec_to_mat_columns(h.point_columns(), m.pN)
+    keep = residually_nilpotent_columns(mats, m.p)
+    pool = explog.exp_extended_columns(tuple(x[keep] for x in mats), m)
+    return SubgroupClosure.trivial(m).extend_by_pool(pool, cap=cap)
+
+
+def test_grpc_padic_cyclic_example_at_precision_four():
+    # the points of h mod 5^3 have lifts outside h mod 5^4, whose
+    # exponentials generate a group of order 15,625
+    m = Modulus(5, 4)
+    g = MatP.of([[260, 503], [473, 367]], m)
+    closure = closure_of_generators([g])
+    assert closure.order == 625
+    h = liec_padic(closure)
+    assert h.divisors == (0, 4, 4)
+    assert np.array_equal(grpc_padic(h).codes, closure.codes)
+    rep = roundtrip_check_padic([[g]], m)
+    assert rep.passed, rep.failures
+
+
+@pytest.mark.parametrize("N", [4, 5, 6])
+def test_roundtrip_padic_beyond_precision_three(N):
+    m = Modulus(5, N)
+    checked = 0
+    for gens in random_resunip_generator_sets(random.Random(400 + N), m, 8):
+        try:  # the cap keeps the test quick
+            closure_of_generators(gens, cap=100_000)
+        except ClosureBudgetExceeded:
+            continue
+        rep = roundtrip_check_padic([gens], m)
+        assert rep.passed, rep.failures
+        checked += 1
+    assert checked >= 4
+
+
+@st.composite
+def _small_liec_lattices(draw):
+    m = Modulus(*draw(st.sampled_from([(5, 4), (7, 4), (5, 5), (5, 6), (7, 3)])))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    gens = random_resunip_generator_sets(rng, m, 1)[0]
+    try:
+        closure = closure_of_generators(gens, cap=100_000)
+    except ClosureBudgetExceeded:
+        assume(False)
+    h = liec_padic(closure)
+    assume(h.point_count() <= 20_000)
+    return h
+
+
+@settings(max_examples=25, deadline=None)
+@given(_small_liec_lattices())
+def test_grpc_padic_matches_definition(h):
+    group = grpc_padic(h)
+    assert np.array_equal(group.codes, _grpc_oracle(h, 10**6).codes)
+
+
+# ---------------------------------------------------------------------------
 # Column paths against per-element computations
 # ---------------------------------------------------------------------------
 
@@ -278,26 +359,24 @@ def _scalar_liec(closure, m):
     return lattice
 
 
-def _scalar_stratum(L, s):
+def _scalar_stratum(L):
     p, N = L.modulus.p, L.modulus.N
-    ps = p**s
-    ranges = [range(p ** max(s - d, 0)) for d in L.divisors if d < N]
-    out, seen = [], set()
+    q = L.modulus.pN
+    ranges = [range(p if d == 0 else 1) for d in L.divisors if d < N]
+    out = []
     for ts in product(*ranges):
         v = (0, 0, 0)
         for t, g in zip(ts, L.generators):
-            v = vec_add(v, vec_scale(t, g, ps), ps)
-        if v not in seen:
-            seen.add(v)
-            if (v[1] * v[1] + v[0] * v[2]) % p == 0:
-                out.append(v)
+            v = vec_add(v, vec_scale(t, g, q), q)
+        if (v[1] * v[1] + v[0] * v[2]) % p == 0:
+            out.append(v)
     return out
 
 
 def _scalar_grpc(L):
     m = L.modulus
-    stratum = _scalar_stratum(L, min(m.N, 3))
-    return closure_of_pool([exp_extended(vec_to_mat(v, m)).matrix for v in stratum], m)
+    pool = [*_scalar_stratum(L), *L.intersect_scaled_ambient(1).generators]
+    return closure_of_pool([exp_extended(vec_to_mat(v, m)).matrix for v in pool], m)
 
 
 def _rows(cols):
@@ -306,9 +385,8 @@ def _rows(cols):
 
 @pytest.mark.parametrize("pN", [(5, 3), (5, 4), (7, 3)])
 def test_padic_column_paths_match_per_element(pN, monkeypatch):
-    # small blocks, so every closure and stratum spans several
+    # small blocks, so every closure spans several
     monkeypatch.setattr(explog, "_BLOCK_ELEMENTS", 64)
-    monkeypatch.setattr(nori, "_STRATUM_BLOCK", 50)
     m = Modulus(*pN)
     sets = random_resunip_generator_sets(random.Random(31), m, 12)
     checked = 0
@@ -317,17 +395,16 @@ def test_padic_column_paths_match_per_element(pN, monkeypatch):
             closure = closure_of_generators(gens, cap=20_000)
         except ClosureBudgetExceeded:
             continue
-        h = liec_padic(closure, m)
+        h = liec_padic(closure)
         oracle = _scalar_liec(closure, m)
         assert (h.divisors, h.adapted_basis, h.adapted_inverse) == (
             oracle.divisors, oracle.adapted_basis, oracle.adapted_inverse)
 
-        for s in range(1, min(m.N, 3) + 1):
-            assert _rows(resnilp_stratum(h, sample_exponent=s)) == _scalar_stratum(h, s)
+        assert _rows(resnilp_stratum(h)) == _scalar_stratum(h)
         try:
             group = grpc_padic(h)
         except ClosureBudgetExceeded:
-            # the stratum lifts of a deep lattice can generate past the cap
+            # the group of a deep lattice can pass the cap
             with pytest.raises(ClosureBudgetExceeded):
                 _scalar_grpc(h)
         else:
@@ -351,7 +428,7 @@ def test_roundtrip_padic_on_python_int_codes():
     u = MatP.of([[1, 1], [0, 1]], m)
     closure = closure_of_generators([u])
     assert closure.codes.dtype == object and closure.order == 5**7
-    h = liec_padic(closure, m)
+    h = liec_padic(closure)
     assert h.divisors == (0, 7, 7)
     group = grpc_padic(h)
     assert group.codes.dtype == object
