@@ -116,6 +116,10 @@ def _cmd_approx(args) -> int:
     elif args.input:
         with open(args.input) as fh:
             M = LieLattice.from_json(json.load(fh))
+        if M.modulus != modulus:
+            print(f"config error: lattice literal is at p = {M.modulus.p}, N = {M.modulus.N}, "
+                  f"not p = {args.p}, N = {args.N}", file=sys.stderr)
+            return EXIT_CONFIG
         if lattice_level(M) != args.n:
             print(f"config error: lattice has level {lattice_level(M)}, not {args.n}",
                   file=sys.stderr)
@@ -148,7 +152,8 @@ def _cmd_nori(args) -> int:
     report = Report("nori", {"p": args.p, "roundtrip": True})
     start = time.perf_counter()
     rep = roundtrip_check_fp(args.p)
-    smallest, _ = smallest_passing_prime(tuple(q for q in (5, 7, 11, 13) if q <= max(args.p, 5)))
+    candidates = tuple(q for q in (5, 7, 11, 13) if q <= max(args.p, 5))
+    smallest, _ = smallest_passing_prime(candidates, known={args.p: rep})
     report.add_case(
         p=rep.p,
         subgroup_count=rep.subgroup_count,

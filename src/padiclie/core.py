@@ -175,6 +175,34 @@ def valuation(a: PadicScalar) -> Valuation:
     return a.valuation()
 
 
+def _is_json_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def modulus_from_json(obj, kind: str) -> Modulus:
+    """The modulus of a literal {"p": .., "N": .., ...}.  p and N must be
+    JSON integers: a float, a string or a boolean is a config error, not
+    something to truncate."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{kind} literal must be a JSON object")
+    for key in ("p", "N"):
+        if not _is_json_int(obj.get(key)):
+            raise ValueError(f"{kind} literal {key} = {obj.get(key)!r} is not an integer")
+    return Modulus(obj["p"], obj["N"])
+
+
+def residue_rows_from_json(rows, modulus: Modulus, kind: str) -> tuple[tuple[int, ...], ...]:
+    """A JSON list of lists of integers in [0, p^N), as tuples."""
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ValueError(f"{kind} literal {rows!r} is not a list of lists")
+    pN = modulus.pN
+    for row in rows:
+        for a in row:
+            if not _is_json_int(a) or not 0 <= a < pN:
+                raise ValueError(f"{kind} literal entry {a!r} outside [0, {pN})")
+    return tuple(tuple(row) for row in rows)
+
+
 @dataclass(frozen=True)
 class MatP:
     """A square matrix over Z/p^N with all entries at one shared modulus."""
@@ -214,14 +242,8 @@ class MatP:
         JSON integers must already lie in [0, p^N); anything else is a
         config error, not something to normalize silently.
         """
-        modulus = Modulus(int(obj["p"]), int(obj["N"]))
-        rows = obj["mat"]
-        pN = modulus.pN
-        for row in rows:
-            for a in row:
-                if not isinstance(a, int) or isinstance(a, bool) or not 0 <= a < pN:
-                    raise ValueError(f"matrix literal entry {a!r} outside [0, {pN})")
-        return cls(tuple(tuple(row) for row in rows), modulus)
+        modulus = modulus_from_json(obj, "matrix")
+        return cls(residue_rows_from_json(obj.get("mat"), modulus, "matrix"), modulus)
 
     def to_json(self) -> dict:
         return {
@@ -734,13 +756,22 @@ class SubgroupClosure:
         """The elements as (a, b, c, d), in increasing code order."""
         return _iter_tuples(self._codes, self.q)
 
-    def double_coset(self, g: MatP) -> np.ndarray:
-        """The sorted codes of H g H, from all |H|^2 products; <H, x> =
-        <H, g> for each x in it."""
+    def double_coset(self, s) -> np.ndarray:
+        """The sorted codes of H S H, from all |H|^2 |S| products, for one
+        element S = g (a ``MatP``) or a set S given by entry columns.
+
+        <H, x> = <H, g> for each x in H g H.  For the cyclic group S = <u>
+        of an element u of prime order, <H, x> = <H, u> for each x in
+        H S H outside H (``nori.enumerate_unipotent_generated``).
+        """
         q = self.q
+        if isinstance(s, MatP):
+            s = tuple([x] for x in _mat_to_tuple(s))
+        s = as_columns(s, 2 * q * q)
         h = _decode(self._codes, q)
-        left = mul_columns(h, _mat_to_tuple(g), q)
-        cols = mul_columns(tuple(x[:, None] for x in left), tuple(x[None, :] for x in h), q)
+        left = mul_columns(tuple(x[:, None] for x in h), tuple(x[None, :] for x in s), q)
+        left = tuple(x.ravel()[:, None] for x in left)  # H S, |H| |S| elements
+        cols = mul_columns(left, tuple(x[None, :] for x in h), q)
         return np.unique(_encode(*cols, q))
 
 

@@ -32,7 +32,16 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import AMBIENT_DIM, MatP, Modulus, as_columns, column_dtype, int_valuation
+from .core import (
+    AMBIENT_DIM,
+    MatP,
+    Modulus,
+    as_columns,
+    column_dtype,
+    int_valuation,
+    modulus_from_json,
+    residue_rows_from_json,
+)
 from .errors import InvariantViolation, PrecisionExceeded, PrecisionExhausted
 
 Vec = tuple[int, int, int]
@@ -316,15 +325,11 @@ class LieLattice:
         JSON integers must already lie in [0, p^N); anything else is a
         config error, not something to normalize silently.
         """
-        modulus = Modulus(int(obj["p"]), int(obj["N"]))
-        cols = obj["columns"]
-        pN = modulus.pN
+        modulus = modulus_from_json(obj, "lattice")
+        cols = residue_rows_from_json(obj.get("columns"), modulus, "lattice")
         for col in cols:
             if len(col) != 3:
-                raise ValueError(f"lattice literal column {col!r} does not have 3 entries")
-            for x in col:
-                if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < pN:
-                    raise ValueError(f"lattice literal entry {x!r} outside [0, {pN})")
+                raise ValueError(f"lattice literal column {list(col)!r} does not have 3 entries")
         return cls.from_columns(cols, modulus)
 
     def to_json(self) -> dict:

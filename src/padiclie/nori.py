@@ -189,12 +189,19 @@ def enumerate_unipotent_generated(p: int, *, cap: int = DEFAULT_ENUM_CAP) -> lis
     of those found so far by one unipotent until no new subgroup appears.
 
     Every unipotent-generated subgroup arises by adding one unipotent at a
-    time, so the breadth-first sweep is complete.  <H, u> = <H, x> for every
-    x in the double coset H u H, so one extension serves all of its
-    unipotents.  The count is
-    cross-checked against the classification of subgroups of SL(2, F_p)
-    containing p-elements: the trivial group, the p + 1 Sylow p-subgroups,
-    and the full group, so p + 3 in total.
+    time, so the breadth-first sweep is complete.  One extension serves
+    every unipotent of the set H <u> H: a unipotent u != 1 has order p, so
+    u^k generates <u> for p not dividing k, and <H, h u^k h'> = <H, u> for
+    h, h' in H; for p dividing k, h u^k h' lies in H and adds nothing.  A
+    unipotent is skipped only when the subgroup it would give from H is
+    already known, so each subgroup is still first found by the same pair
+    (H, u), with the same generator record.  At the budgeted primes this
+    takes 2 (p + 1) stages: one per Sylow p-subgroup from the trivial group
+    and one from each of them to the full group (the tests count them).
+    The count of subgroups is cross-checked against the
+    classification of subgroups of SL(2, F_p) containing p-elements: the
+    trivial group, the p + 1 Sylow p-subgroups, and the full group, so
+    p + 3 in total.
     """
     if p not in (5, 7, 11, 13):
         raise BudgetExceeded("enumeration is budgeted for p in {5, 7, 11, 13}")
@@ -204,7 +211,7 @@ def enumerate_unipotent_generated(p: int, *, cap: int = DEFAULT_ENUM_CAP) -> lis
     codes = element_codes(unip, p)
     order = np.argsort(codes)
     unip, unip_codes = tuple(x[order] for x in unip), codes[order]
-    all_unips = [(u, _tuple_to_mat(u, modulus)) for u in zip(*(x.tolist() for x in unip))]
+    exponents = np.arange(p)
     # a closure's sorted code array is canonical, so its bytes key the subgroup
     seen: dict[bytes, FpSubgroup] = {}
     trivial = FpSubgroup.trivial(p)
@@ -214,11 +221,14 @@ def enumerate_unipotent_generated(p: int, *, cap: int = DEFAULT_ENUM_CAP) -> lis
         nxt = []
         for H in frontier:
             done = H.closure.contains_columns(*unip)  # unipotents u whose <H, u> is known
-            for i, (u, umat) in enumerate(all_unips):
+            for i in range(len(unip_codes)):
                 if done[i]:
                     continue
-                closure = H.closure.extend(umat)
-                done |= np.isin(unip_codes, H.closure.double_coset(umat), assume_unique=True)
+                u = tuple(int(x[i]) for x in unip)
+                closure = H.closure.extend(_tuple_to_mat(u, modulus))
+                # <u> = {1 + k (u - 1) : k < p}, as (u - 1)^2 = 0
+                cyclic = tuple((e + exponents * (x - e)) % p for x, e in zip(u, (1, 0, 0, 1)))
+                done |= np.isin(unip_codes, H.closure.double_coset(cyclic), assume_unique=True)
                 key = closure.codes.tobytes()
                 if key not in seen:
                     if len(seen) + 1 > cap:
@@ -477,12 +487,18 @@ def roundtrip_check_fp(p: int) -> RoundtripReport:
     return report
 
 
-def smallest_passing_prime(candidates: Sequence[int] = (5, 7, 11, 13)) -> tuple[int | None, list[RoundtripReport]]:
+def smallest_passing_prime(
+    candidates: Sequence[int] = (5, 7, 11, 13),
+    *,
+    known: dict[int, RoundtripReport] | None = None,
+) -> tuple[int | None, list[RoundtripReport]]:
     """Run the F_p round trip on successive primes; report the first that
-    passes with no failures and no anomalies."""
+    passes with no failures and no anomalies.  A prime with a report in
+    ``known`` is not run again."""
+    known = known or {}
     reports = []
     for p in candidates:
-        rep = roundtrip_check_fp(p)
+        rep = known[p] if p in known else roundtrip_check_fp(p)
         reports.append(rep)
         if rep.passed and not rep.anomalies:
             return p, reports

@@ -51,6 +51,30 @@ def test_approx_lattice_input(capsys, tmp_path):
         assert "config error" in capsys.readouterr().err
 
 
+def test_approx_rejects_malformed_literal(capsys, tmp_path):
+    path = tmp_path / "lattice.json"
+    good = {"p": 3, "N": 7, "columns": [[0, 1, 0], [1, 0, 0], [0, 0, 81]]}
+    bad_literals = [{**good, "p": bad} for bad in (5.9, "5", True)]
+    bad_literals += [{**good, "N": bad} for bad in (7.5, "7", True)]
+    bad_literals.append({**good, "columns": [5, [0, 1, 0]]})
+    for lattice in bad_literals:
+        path.write_text(json.dumps(lattice))
+        assert main(["approx", "--p", "3", "--n", "4", "--N", "7", "--input", str(path)]) == 2
+        assert "config error" in capsys.readouterr().err
+
+
+def test_approx_rejects_literal_at_another_modulus(capsys, tmp_path):
+    path = tmp_path / "lattice.json"
+    path.write_text(json.dumps({"p": 5, "N": 4, "columns": [[0, 1, 0], [1, 0, 0], [0, 0, 5]]}))
+    assert main(["approx", "--p", "7", "--n", "1", "--N", "5", "--input", str(path)]) == 2
+    assert "config error: lattice literal is at p = 5, N = 4" in capsys.readouterr().err
+    # --N defaults to n + 3 before the comparison: 4 matches, 5 does not
+    code, rep = _run(capsys, ["approx", "--p", "5", "--n", "1", "--input", str(path)])
+    assert code == 0 and rep["config"]["N"] == 4
+    assert main(["approx", "--p", "5", "--n", "2", "--input", str(path)]) == 2
+    assert "not p = 5, N = 5" in capsys.readouterr().err
+
+
 def test_approx_requires_headroom(capsys):
     code = main(["approx", "--worst-case", "--p", "3", "--n", "4", "--N", "5"])
     assert code == 2
@@ -126,6 +150,25 @@ def test_nori_command(capsys):
     case = rep["cases"][0]
     assert case["subgroup_count"] == 8
     assert case["smallest_passing_p_so_far"] == 5
+
+
+def test_nori_command_runs_each_prime_once(capsys, monkeypatch):
+    from padiclie import nori
+
+    calls = []
+    check = nori.roundtrip_check_fp
+
+    def counting(p):
+        calls.append(p)
+        return check(p)
+
+    monkeypatch.setattr(nori, "roundtrip_check_fp", counting)
+    code, rep = _run(capsys, ["nori", "--p", "5"])
+    assert code == 0 and rep["cases"][0]["smallest_passing_p_so_far"] == 5
+    assert calls == [5]
+    code, rep = _run(capsys, ["nori", "--p", "7"])
+    assert code == 0 and rep["cases"][0]["smallest_passing_p_so_far"] == 5
+    assert calls == [5, 7, 5]
 
 
 def test_report_merge(capsys, tmp_path):

@@ -260,6 +260,33 @@ def test_double_coset_matches_products():
         assert H.double_coset(g).tolist() == codes
 
 
+def test_double_coset_of_a_set_is_the_union():
+    rng = random.Random(5)
+    m = Modulus(7, 1)
+    for rows in ([[1, 1], [0, 1]], [[2, 0], [0, 4]], [[0, 1], [6, 0]]):
+        H = closure_of_generators([MatP.of(rows, m)])
+        S = [random_sl2(rng, m) for _ in range(3)]
+        cols = tuple(np.array(col) for col in zip(*(g.as_tuple() for g in S)))
+        union = np.unique(np.concatenate([H.double_coset(g) for g in S]))
+        assert np.array_equal(H.double_coset(cols), union)
+
+
+def test_double_coset_of_a_cyclic_group_of_prime_order():
+    # <H, x> = <H, u> for every x in H <u> H outside H, u of order p
+    m = Modulus(7, 1)
+    u = MatP.of([[1, 3], [0, 1]], m)
+    H = closure_of_generators([MatP.of([[1, 0], [1, 1]], m)])
+    hs = [MatP.of([[a, b], [c, d]], m) for a, b, c, d in H.iter_tuples()]
+    xs = {(x @ u.power(k) @ y).as_tuple() for x in hs for k in range(7) for y in hs}
+    codes = sorted(((a * 7 + b) * 7 + c) * 7 + d for a, b, c, d in xs)
+    assert H.double_coset(closure_of_generators([u]).columns()).tolist() == codes
+    target = H.extend(u).codes
+    outside = [x for x in xs if not H.contains_tuple(x)]
+    assert len(outside) == len(xs) - H.order
+    for a, b, c, d in outside:
+        assert np.array_equal(H.extend(MatP.of([[a, b], [c, d]], m)).codes, target)
+
+
 def test_closure_examples():
     m = Modulus(3, 2)
     gens = [MatP.of([[1, 1], [0, 1]], m), MatP.of([[1, 0], [1, 1]], m)]
@@ -352,3 +379,13 @@ def test_matrix_json_literals():
     for bad in (1.5, True, "2"):
         with pytest.raises(ValueError):
             MatP.from_json({"p": 3, "N": 2, "mat": [[bad, 0], [0, 1]]})
+    for bad in (5.9, "5", True):
+        for key in ("p", "N"):
+            with pytest.raises(ValueError):
+                MatP.from_json({"p": 5, "N": 2, "mat": [[1, 0], [0, 1]], key: bad})
+    for mat in ([5, [0, 1]], [[1, 0], "01"], 5, None):
+        with pytest.raises(ValueError):
+            MatP.from_json({"p": 3, "N": 2, "mat": mat})
+    for obj in ([3, 2], {"N": 2, "mat": [[1, 0], [0, 1]]}):
+        with pytest.raises(ValueError):
+            MatP.from_json(obj)

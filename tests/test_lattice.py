@@ -210,6 +210,15 @@ def test_lattice_json_roundtrip():
     for bad in ([9, 0, 0], [1.7, 0, 0], ["2", 0, 0], [True, 0, 0], [0, 1]):
         with pytest.raises(ValueError):
             LieLattice.from_json({"p": 3, "N": 2, "columns": [bad]})
+    for bad in (5.9, "5", True):
+        for key in ("p", "N"):
+            with pytest.raises(ValueError):
+                LieLattice.from_json({"p": 5, "N": 2, "columns": [[0, 1, 0]], key: bad})
+    for columns in ([5, [0, 1, 0]], [[0, 1, 0], "010"], 5, None):
+        with pytest.raises(ValueError):
+            LieLattice.from_json({"p": 3, "N": 2, "columns": columns})
+    with pytest.raises(ValueError):
+        LieLattice.from_json([3, 2, [[0, 1, 0]]])
 
 
 def test_point_enumeration_matches_count():

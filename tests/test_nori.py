@@ -115,7 +115,7 @@ def test_grpc_bar_examples():
     assert grpc_bar(cartan).order == 1
 
 
-@pytest.mark.parametrize("p", [5, 7])
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
 def test_enumerate_unipotent_generated(p):
     subs = enumerate_unipotent_generated(p)
     assert len(subs) == p + 3
@@ -128,6 +128,52 @@ def test_enumerate_unipotent_generated(p):
     # determinism across runs
     again = enumerate_unipotent_generated(p)
     assert [H.canonical() for H in subs] == [H.canonical() for H in again]
+
+
+def _enumerate_unipotent_generated_oracle(p):
+    # extend every subgroup found by every unipotent, in code order, with no
+    # skipping; the first (H, u) pair to reach a subgroup records it
+    m = Modulus(p, 1)
+    unips = sorted(t for t in _sl2_fp(p) if residually_unipotent(_mat(t, m)))
+    trivial = FpSubgroup.trivial(p)
+    seen = {trivial.closure.codes.tobytes(): trivial}
+    frontier = [trivial]
+    while frontier:
+        nxt = []
+        for H in frontier:
+            for u in unips:
+                closure = H.closure.extend(_mat(u, m))
+                key = closure.codes.tobytes()
+                if key not in seen:
+                    seen[key] = FpSubgroup(closure, (*H.generator_record, u))
+                    nxt.append(seen[key])
+        frontier = nxt
+    return sorted(seen.values(), key=lambda H: (H.order, H.canonical()))
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_enumerate_unipotent_generated_matches_oracle(p):
+    fast, slow = enumerate_unipotent_generated(p), _enumerate_unipotent_generated_oracle(p)
+    assert [H.canonical() for H in fast] == [H.canonical() for H in slow]
+    assert [H.generator_record for H in fast] == [H.generator_record for H in slow]
+    assert [H.closure.generators for H in fast] == [H.closure.generators for H in slow]
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_enumerate_unipotent_generated_stage_count(p, monkeypatch):
+    # one stage per Sylow p-subgroup from the trivial group, and one from
+    # each Sylow p-subgroup to the full group
+    stages = []
+    extend = SubgroupClosure.extend
+
+    def counting(self, g, **kw):
+        stages.append(self.order)
+        return extend(self, g, **kw)
+
+    monkeypatch.setattr(SubgroupClosure, "extend", counting)
+    enumerate_unipotent_generated(p)
+    assert len(stages) == 2 * (p + 1)
+    assert sorted(stages) == [1] * (p + 1) + [p] * (p + 1)
 
 
 def test_nilpotently_generated_enumeration():
