@@ -15,7 +15,6 @@ from .core import (
     GroupLevel,
     MatP,
     Modulus,
-    PadicScalar,
     SubgroupClosure,
     Valuation,
     closure_of_generators,
@@ -25,7 +24,6 @@ from .core import (
     mat_inverse,
     residually_nilpotent,
     residually_unipotent,
-    valuation,
 )
 from .explog import (
     NilpotentResidue,

@@ -27,6 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from .core import (
     DEFAULT_CLOSURE_CAP,
     DEFAULT_ENUM_CAP,
@@ -48,14 +50,14 @@ from .errors import (
     UnsupportedPrecision,
     UnsupportedPrime,
 )
-from .explog import log_congruence
+from .explog import _congruence_cutoff, _log_series_columns
 from .lattice import (
     LieLattice,
     Vec,
     is_subalgebra_mod,
     lattice_level,
-    mat_to_vec,
     membership_mod,
+    membership_mod_columns,
 )
 
 # -- functional rows ---------------------------------------------------------
@@ -536,9 +538,11 @@ def group_certificate(
     log(h) in p*I + p^m sl2, i.e. H is inside exp(p I) K(p^m).
 
     Generators, or every element of a precomputed closure, must be trivial
-    mod p', and p odd; a closure may be passed to share work across
-    candidate subalgebras.  Logarithms are
-    exact at precision N, so the verdict is sound and complete there.
+    mod p', live at the lattice's modulus, and p must be odd; a closure may
+    be passed to share work across candidate subalgebras.  The logarithms
+    of all elements are taken at once on the closure's entry columns and
+    tested together; they are exact at precision N, so the verdict is sound
+    and complete there.
     """
     modulus = I.modulus
     p, N = modulus.p, modulus.N
@@ -554,15 +558,14 @@ def group_certificate(
             raise PreconditionViolation("closure elements must be trivial mod p'")
     else:
         for g in generators:
+            if g.modulus != modulus:
+                raise PreconditionViolation("generator modulus does not match the lattice")
             if not in_principal_congruence(g, modulus.eps_p):
                 raise PreconditionViolation("generators must be trivial mod p'")
         closure = closure_of_generators(generators, cap=cap)
+    cutoff = _congruence_cutoff(p, N, modulus.eps_p)
+    a, b, c, d = _log_series_columns(closure.columns(), p, N, cutoff)
+    if np.any((a + d) % modulus.pN):
+        raise InvariantViolation("logarithm of a congruence SL(2) element must be traceless")
     target = I.scaled(1).plus_scaled_ambient(m)
-    for t in closure.iter_tuples():
-        g = MatP.of([[t[0], t[1]], [t[2], t[3]]], modulus)
-        logm = log_congruence(g)
-        if logm.trace() != 0:
-            raise InvariantViolation("logarithm of a congruence SL(2) element must be traceless")
-        if not membership_mod(target, mat_to_vec(logm), N):
-            return False
-    return True
+    return bool(membership_mod_columns(target, (b, a, c), N).all())

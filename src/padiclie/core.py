@@ -25,7 +25,6 @@ from .errors import (
     ModulusMismatch,
     NonUnit,
     PrecisionExceeded,
-    UnsupportedPrime,
 )
 
 #: Matrix size.  The artifact is about SL(2) throughout; the ambient Lie
@@ -37,6 +36,12 @@ DEFAULT_CLOSURE_CAP = int(os.environ.get("PADICLIE_CLOSURE_CAP", 1_000_000))
 DEFAULT_ENUM_CAP = int(os.environ.get("PADICLIE_ENUM_CAP", 10_000_000))
 
 Mat2 = tuple[tuple[int, int], tuple[int, int]]
+
+
+def _is_int(x) -> bool:
+    """An int that is not a bool: floats, strings and booleans are refused
+    wherever an exact integer is required."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def is_prime(m: int) -> bool:
@@ -78,6 +83,9 @@ class Modulus:
     N: int
 
     def __post_init__(self):
+        for name, value in (("p", self.p), ("N", self.N)):
+            if not _is_int(value):
+                raise ValueError(f"{name} = {value!r} is not an integer")
         if not is_prime(self.p):
             raise ValueError(f"p = {self.p} is not prime")
         if self.N < 1:
@@ -120,75 +128,12 @@ class Valuation(NamedTuple):
         return self.value
 
 
-@dataclass(frozen=True)
-class PadicScalar:
-    """A residue modulo p^N with its modulus carried explicitly."""
-
-    residue: int
-    modulus: Modulus
-
-    def __post_init__(self):
-        if not 0 <= self.residue < self.modulus.pN:
-            raise ValueError(
-                f"residue {self.residue} outside [0, {self.modulus.pN})"
-            )
-
-    @classmethod
-    def of(cls, value: int, modulus: Modulus) -> "PadicScalar":
-        return cls(value % modulus.pN, modulus)
-
-    def _check(self, other: "PadicScalar") -> None:
-        if self.modulus != other.modulus:
-            raise ModulusMismatch(f"{self.modulus} vs {other.modulus}")
-
-    def __add__(self, other: "PadicScalar") -> "PadicScalar":
-        self._check(other)
-        return PadicScalar((self.residue + other.residue) % self.modulus.pN, self.modulus)
-
-    def __sub__(self, other: "PadicScalar") -> "PadicScalar":
-        self._check(other)
-        return PadicScalar((self.residue - other.residue) % self.modulus.pN, self.modulus)
-
-    def __mul__(self, other: "PadicScalar") -> "PadicScalar":
-        self._check(other)
-        return PadicScalar((self.residue * other.residue) % self.modulus.pN, self.modulus)
-
-    def __neg__(self) -> "PadicScalar":
-        return PadicScalar((-self.residue) % self.modulus.pN, self.modulus)
-
-    @property
-    def is_unit(self) -> bool:
-        return self.residue % self.modulus.p != 0
-
-    def inverse(self) -> "PadicScalar":
-        if not self.is_unit:
-            raise NonUnit(f"{self.residue} is divisible by p = {self.modulus.p}")
-        return PadicScalar(pow(self.residue, -1, self.modulus.pN), self.modulus)
-
-    def valuation(self) -> Valuation:
-        v = int_valuation(self.residue, self.modulus.p, self.modulus.N)
-        return Valuation(v, v == self.modulus.N)
-
-
-def valuation(a: PadicScalar) -> Valuation:
-    """min(v_p(a), N); the capped flag marks 'indistinguishable from 0'."""
-    return a.valuation()
-
-
-def _is_json_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def modulus_from_json(obj, kind: str) -> Modulus:
-    """The modulus of a literal {"p": .., "N": .., ...}.  p and N must be
-    JSON integers: a float, a string or a boolean is a config error, not
-    something to truncate."""
+    """The modulus of a literal {"p": .., "N": .., ...}; ``Modulus`` rejects
+    a p or N that is a float, a string or a boolean, never truncating it."""
     if not isinstance(obj, dict):
         raise ValueError(f"{kind} literal must be a JSON object")
-    for key in ("p", "N"):
-        if not _is_json_int(obj.get(key)):
-            raise ValueError(f"{kind} literal {key} = {obj.get(key)!r} is not an integer")
-    return Modulus(obj["p"], obj["N"])
+    return Modulus(obj.get("p"), obj.get("N"))
 
 
 def residue_rows_from_json(rows, modulus: Modulus, kind: str) -> tuple[tuple[int, ...], ...]:
@@ -198,7 +143,7 @@ def residue_rows_from_json(rows, modulus: Modulus, kind: str) -> tuple[tuple[int
     pN = modulus.pN
     for row in rows:
         for a in row:
-            if not _is_json_int(a) or not 0 <= a < pN:
+            if not _is_int(a) or not 0 <= a < pN:
                 raise ValueError(f"{kind} literal entry {a!r} outside [0, {pN})")
     return tuple(tuple(row) for row in rows)
 
@@ -257,9 +202,6 @@ class MatP:
     @property
     def size(self) -> int:
         return len(self.rows)
-
-    def entry(self, i: int, j: int) -> PadicScalar:
-        return PadicScalar(self.rows[i][j], self.modulus)
 
     def as_tuple(self) -> tuple[int, ...]:
         return tuple(a for row in self.rows for a in row)
@@ -486,14 +428,6 @@ def residually_nilpotent_columns(cols, p: int) -> np.ndarray:
 # Subgroup closures in SL(2, Z/q)
 # ---------------------------------------------------------------------------
 
-Tuple4 = tuple[int, int, int, int]
-
-
-def _mat_to_tuple(g: MatP) -> Tuple4:
-    (a, b), (c, d) = g.rows
-    return (a, b, c, d)
-
-
 # Coset blocks are built at most this many codes at a time, which bounds the
 # engine's scratch memory whatever the subgroup order.
 _BLOCK_CODES = 1 << 18
@@ -567,7 +501,7 @@ def _cosets(h, reps, q: int) -> np.ndarray:
     return np.concatenate(blocks)
 
 
-def _doubling_codes(h_codes: np.ndarray, g: Tuple4, q: int, cap: int) -> np.ndarray:
+def _doubling_codes(h_codes: np.ndarray, g: MatP, q: int, cap: int) -> np.ndarray:
     """Sorted codes of <H, g> for g normalizing H (the cyclic group <g>
     when H is trivial), by doubling.
 
@@ -578,7 +512,7 @@ def _doubling_codes(h_codes: np.ndarray, g: Tuple4, q: int, cap: int) -> np.ndar
     """
     order_h = len(h_codes)
     reps = tuple(np.array([x], dtype=h_codes.dtype) for x in (1, 0, 0, 1))
-    step = g  # g^k
+    step = g.as_tuple()  # g^k
     while True:
         block = mul_columns(reps, step, q)  # g^(k + i) for i < k
         hits = np.flatnonzero(_isin_sorted(h_codes, _encode(*block, q)))
@@ -593,7 +527,7 @@ def _doubling_codes(h_codes: np.ndarray, g: Tuple4, q: int, cap: int) -> np.ndar
 
 
 def _dimino_codes(
-    h_codes: np.ndarray, gens: Sequence[Tuple4], q: int, cap: int
+    h_codes: np.ndarray, gens: Sequence[MatP], q: int, cap: int
 ) -> np.ndarray:
     """Sorted codes of <H, gens> for a subgroup H given by its sorted codes
     and a generator list whose earlier members generate H (one Dimino stage).
@@ -607,7 +541,7 @@ def _dimino_codes(
     """
     dtype = h_codes.dtype
     h = tuple(x[None, :] for x in _decode(h_codes, q))
-    s = tuple(np.array(col, dtype=dtype)[None, :] for col in zip(*gens))
+    s = tuple(np.array(col, dtype=dtype)[None, :] for col in zip(*(g.as_tuple() for g in gens)))
     order_h = len(h_codes)
     chunk = max(1, _BLOCK_CODES // order_h)
     known = _SortedRuns(h_codes)
@@ -649,11 +583,12 @@ class SubgroupClosure:
 
     Elements are stored as one sorted array of codes
     ((a q + b) q + c) q + d: int64 when q**4 fits, Python integers in an
-    object array otherwise.  Only generators that enlarged the group are
-    kept in ``generators``.
+    object array otherwise; sets of elements go in and out as entry columns
+    (a, b, c, d).  ``generators`` holds, as ``MatP``s, only the generators
+    that enlarged the group.
     """
 
-    def __init__(self, modulus: Modulus, generators: tuple[Tuple4, ...], codes: np.ndarray):
+    def __init__(self, modulus: Modulus, generators: tuple[MatP, ...], codes: np.ndarray):
         self.modulus = modulus
         self.q = modulus.pN
         self.generators = generators
@@ -685,10 +620,9 @@ class SubgroupClosure:
             raise ModulusMismatch(f"element lives mod {g.modulus.pN}, closure mod {self.q}")
         if g.det() != 1 % self.q:
             raise ValueError("generator has det != 1 mod p^N")
-        t = _mat_to_tuple(g)
-        if self.contains_tuple(t):
+        if self.contains(g):
             return self
-        return self._extend(t, cap)
+        return self._extend(g, cap)
 
     def extend_by_pool(self, pool, *, cap: int = DEFAULT_CLOSURE_CAP) -> "SubgroupClosure":
         """The closure of H and a pool of elements given by entry columns.
@@ -708,39 +642,33 @@ class SubgroupClosure:
         closure = self
         rest = np.flatnonzero(~closure.contains_columns(*pool))
         while rest.size:
-            closure = closure._extend(tuple(int(x[rest[0]]) for x in pool), cap)
+            i = rest[0]
+            g = MatP(((int(a[i]), int(b[i])), (int(c[i]), int(d[i]))), self.modulus)
+            closure = closure._extend(g, cap)
             rest = rest[1:]
             rest = rest[~closure.contains_columns(*(x[rest] for x in pool))]
         return closure
 
-    def _extend(self, t: Tuple4, cap: int) -> "SubgroupClosure":
-        """One stage by a non-member t of determinant one."""
-        gens = (*self.generators, t)
-        if self._normalizes(t):
-            codes = _doubling_codes(self._codes, t, self.q, cap)
+    def _extend(self, g: MatP, cap: int) -> "SubgroupClosure":
+        """One stage by a non-member g of determinant one."""
+        gens = (*self.generators, g)
+        if self._normalizes(g):
+            codes = _doubling_codes(self._codes, g, self.q, cap)
         else:
             codes = _dimino_codes(self._codes, gens, self.q, cap)
         return SubgroupClosure(self.modulus, gens, codes)
 
-    def _normalizes(self, t: Tuple4) -> bool:
-        """Whether t H t^-1 = H, tested on the generators of H."""
-        q = self.q
-        a, b, c, d = t
-        t_inv = (d, -b % q, -c % q, a)  # det t = 1
-        return all(
-            self.contains_tuple(mul_columns(mul_columns(t, s, q), t_inv, q))
-            for s in self.generators
-        )
-
-    def contains_tuple(self, t: Tuple4) -> bool:
-        code = _encode(*t, self.q)
-        i = int(np.searchsorted(self._codes, code))
-        return i < len(self._codes) and int(self._codes[i]) == code
+    def _normalizes(self, g: MatP) -> bool:
+        """Whether g H g^-1 = H, tested on the generators of H."""
+        g_inv = mat_inverse(g)
+        return all(self.contains(g @ s @ g_inv) for s in self.generators)
 
     def contains(self, g: MatP) -> bool:
         if g.modulus.pN != self.q:
             raise ModulusMismatch(f"element lives mod {g.modulus.pN}, closure mod {self.q}")
-        return self.contains_tuple(_mat_to_tuple(g))
+        code = _encode(*g.as_tuple(), self.q)
+        i = int(np.searchsorted(self._codes, code))
+        return i < len(self._codes) and int(self._codes[i]) == code
 
     def contains_columns(self, a, b, c, d) -> np.ndarray:
         """Membership mask of the elements with entry columns a, b, c, d
@@ -752,7 +680,7 @@ class SubgroupClosure:
         order."""
         return _decode(self._codes, self.q)
 
-    def iter_tuples(self) -> Iterator[Tuple4]:
+    def iter_tuples(self) -> Iterator[tuple[int, ...]]:
         """The elements as (a, b, c, d), in increasing code order."""
         return _iter_tuples(self._codes, self.q)
 
@@ -766,7 +694,7 @@ class SubgroupClosure:
         """
         q = self.q
         if isinstance(s, MatP):
-            s = tuple([x] for x in _mat_to_tuple(s))
+            s = tuple([x] for x in s.as_tuple())
         s = as_columns(s, 2 * q * q)
         h = _decode(self._codes, q)
         left = mul_columns(tuple(x[:, None] for x in h), tuple(x[None, :] for x in s), q)
@@ -775,7 +703,7 @@ class SubgroupClosure:
         return np.unique(_encode(*cols, q))
 
 
-def _iter_tuples(codes: np.ndarray, q: int) -> Iterator[Tuple4]:
+def _iter_tuples(codes: np.ndarray, q: int) -> Iterator[tuple[int, ...]]:
     for code in codes.tolist():
         code, d = divmod(code, q)
         code, c = divmod(code, q)
@@ -783,10 +711,12 @@ def _iter_tuples(codes: np.ndarray, q: int) -> Iterator[Tuple4]:
         yield (a, b, c, d)
 
 
-def _closure_python(q: int, gens: list[Tuple4], cap: int) -> frozenset[Tuple4]:
-    """Breadth-first closure over a Python set: the test oracle for the
-    coset-enumeration engine."""
-    seen: set[Tuple4] = {(1, 0, 0, 1)}
+def _closure_python(
+    q: int, gens: list[tuple[int, int, int, int]], cap: int
+) -> frozenset[tuple[int, int, int, int]]:
+    """Breadth-first closure over a Python set of (a, b, c, d) tuples: the
+    test oracle for the coset-enumeration engine."""
+    seen: set[tuple[int, int, int, int]] = {(1, 0, 0, 1)}
     seen.update(gens)
     frontier = list(seen)
     while frontier:

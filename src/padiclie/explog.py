@@ -21,8 +21,8 @@ a widened working modulus p^W, W = N + V, so those divisions never lose a
 digit the answer needs; results are exact mod p^N, with no tolerance
 anywhere.
 
-The column kernels run the scalar series (``_exp_series_raw``,
-``_log_series_raw``, which stay as the oracle) on entry columns
+The column kernels run the scalar series (``_exp_series``,
+``_log_series``, which stay as the oracle) on entry columns
 (a, b, c, d): the same division table, cutoff and per-term divisibility
 check, raising ``DomainViolation`` if any element fails it.  A term entry
 is a sum of two products of residues below p^W, so the columns are int64
@@ -134,14 +134,15 @@ def _log_working_precision(p: int, N: int, cutoff: int) -> int:
     return N + max((int_valuation(k, p, N + 8) for k in range(1, cutoff)), default=0)
 
 
-def _exp_series_raw(
-    x4: tuple[int, int, int, int], p: int, N: int, cutoff: int
-) -> tuple[int, int, int, int]:
-    """1 + x + x^2/2! + ... on a flat 2x2 tuple, exact mod p^N on domain."""
+def _exp_series(x: MatP, cutoff: int) -> MatP:
+    """1 + x + x^2/2! + ... on a 2x2 matrix, exact mod p^N on domain."""
+    p, N = x.modulus.p, x.modulus.N
+    if x.size != 2:
+        raise PrecisionExceeded("series are specialized to 2x2 matrices")
     W = N + vp_factorial(cutoff - 1, p)
     pW = p**W
     table = _division_table(p, W, cutoff)
-    xa, xb, xc, xd = (v % pW for v in x4)
+    xa, xb, xc, xd = (v % pW for v in x.as_tuple())
     ta, tb, tc, td = 1, 0, 0, 1
     sa, sb, sc, sd = 1, 0, 0, 1
     for pa, uinv, _ in table:
@@ -162,20 +163,22 @@ def _exp_series_raw(
         sc = (sc + tc) % pW
         sd = (sd + td) % pW
     pN = p**N
-    return (sa % pN, sb % pN, sc % pN, sd % pN)
+    return MatP(((sa % pN, sb % pN), (sc % pN, sd % pN)), x.modulus)
 
 
-def _log_series_raw(
-    g4: tuple[int, int, int, int], p: int, N: int, cutoff: int
-) -> tuple[int, int, int, int]:
-    """(g-1) - (g-1)^2/2 + ... on a flat 2x2 tuple, exact mod p^N on domain."""
+def _log_series(g: MatP, cutoff: int) -> MatP:
+    """(g-1) - (g-1)^2/2 + ... on a 2x2 matrix, exact mod p^N on domain."""
+    p, N = g.modulus.p, g.modulus.N
+    if g.size != 2:
+        raise PrecisionExceeded("series are specialized to 2x2 matrices")
     W = _log_working_precision(p, N, cutoff)
     pW = p**W
     table = _division_table(p, W, cutoff)
-    ya = (g4[0] - 1) % pW
-    yb = g4[1] % pW
-    yc = g4[2] % pW
-    yd = (g4[3] - 1) % pW
+    (a, b), (c, d) = g.rows
+    ya = (a - 1) % pW
+    yb = b % pW
+    yc = c % pW
+    yd = (d - 1) % pW
     ta, tb, tc, td = 1, 0, 0, 1
     sa = sb = sc = sd = 0
     sign = 1
@@ -195,7 +198,7 @@ def _log_series_raw(
         sd = (sd + sign * (nd // pa * uinv)) % pW
         sign = -sign
     pN = p**N
-    return (sa % pN, sb % pN, sc % pN, sd % pN)
+    return MatP(((sa % pN, sb % pN), (sc % pN, sd % pN)), g.modulus)
 
 
 # Column kernels hold at most this many elements at a time.
@@ -257,33 +260,15 @@ def _log_block(g, pW: int, pN: int, table):
 
 
 def _exp_series_columns(x, p: int, N: int, cutoff: int) -> tuple[np.ndarray, ...]:
-    """``_exp_series_raw`` on entry columns x = (a, b, c, d)."""
+    """``_exp_series`` on entry columns x = (a, b, c, d)."""
     W = N + vp_factorial(cutoff - 1, p)
     return _in_blocks(_exp_block, x, p**W, p**N, _division_table(p, W, cutoff))
 
 
 def _log_series_columns(g, p: int, N: int, cutoff: int) -> tuple[np.ndarray, ...]:
-    """``_log_series_raw`` on entry columns g = (a, b, c, d)."""
+    """``_log_series`` on entry columns g = (a, b, c, d)."""
     W = _log_working_precision(p, N, cutoff)
     return _in_blocks(_log_block, g, p**W, p**N, _division_table(p, W, cutoff))
-
-
-def _exp_series(x: MatP, cutoff: int) -> MatP:
-    p, N = x.modulus.p, x.modulus.N
-    if x.size != 2:
-        raise PrecisionExceeded("series are specialized to 2x2 matrices")
-    (a, b), (c, d) = x.rows
-    sa, sb, sc, sd = _exp_series_raw((a, b, c, d), p, N, cutoff)
-    return MatP(((sa, sb), (sc, sd)), x.modulus)
-
-
-def _log_series(g: MatP, cutoff: int) -> MatP:
-    p, N = g.modulus.p, g.modulus.N
-    if g.size != 2:
-        raise PrecisionExceeded("series are specialized to 2x2 matrices")
-    (a, b), (c, d) = g.rows
-    sa, sb, sc, sd = _log_series_raw((a, b, c, d), p, N, cutoff)
-    return MatP(((sa, sb), (sc, sd)), g.modulus)
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,7 @@ from .core import (
     SubgroupClosure,
     as_columns,
     closure_of_generators,
+    closure_of_pool,
     element_codes,
     group_level,
     in_principal_congruence_columns,
@@ -70,13 +71,6 @@ from .lattice import (
     vec_to_mat_columns,
 )
 
-Tuple4 = tuple[int, int, int, int]
-
-
-def _tuple_to_mat(t: Tuple4, modulus: Modulus) -> MatP:
-    return MatP.of([[t[0], t[1]], [t[2], t[3]]], modulus)
-
-
 # ---------------------------------------------------------------------------
 # F_p side: subgroups of SL(2, F_p) and subalgebras of sl(2, F_p), N = 1
 # ---------------------------------------------------------------------------
@@ -86,19 +80,17 @@ def _tuple_to_mat(t: Tuple4, modulus: Modulus) -> MatP:
 class FpSubgroup:
     """A subgroup of SL(2, F_p): the closure that holds its elements, which
     also lets it be extended by a generator without closing again, and the
-    generators it was built from.  Subgroups are compared by ``canonical()``
-    or by their closures' codes.
+    generators it was built from, as ``MatP``s at ``Modulus(p, 1)``.
+    Subgroups are compared by ``canonical()`` or by their closures' codes.
     """
 
     closure: SubgroupClosure
-    generator_record: tuple[Tuple4, ...] = ()
+    generator_record: tuple[MatP, ...] = ()
 
     @classmethod
-    def generated_by(cls, p: int, generators: Iterable[Tuple4]) -> "FpSubgroup":
-        modulus = Modulus(p, 1)
+    def generated_by(cls, p: int, generators: Iterable[MatP]) -> "FpSubgroup":
         gens = tuple(generators)
-        mats = [_tuple_to_mat(g, modulus) for g in gens] or [MatP.identity(modulus)]
-        return cls(closure_of_generators(mats), gens)
+        return cls(closure_of_pool(gens, Modulus(p, 1)), gens)
 
     @classmethod
     def trivial(cls, p: int) -> "FpSubgroup":
@@ -113,15 +105,12 @@ class FpSubgroup:
         return self.closure.order
 
     @property
-    def elements(self) -> frozenset[Tuple4]:
+    def elements(self) -> frozenset[tuple[int, ...]]:
         """The elements as (a, b, c, d) tuples, derived from the closure."""
         return frozenset(self.closure.iter_tuples())
 
-    def canonical(self) -> tuple[Tuple4, ...]:
+    def canonical(self) -> tuple[tuple[int, ...], ...]:
         return tuple(self.closure.iter_tuples())
-
-    def contains(self, t: Tuple4) -> bool:
-        return self.closure.contains_tuple(t)
 
 
 def _bracket_witness(L: LieLattice, m: int) -> tuple[Vec, Vec] | None:
@@ -135,11 +124,17 @@ def _bracket_witness(L: LieLattice, m: int) -> tuple[Vec, Vec] | None:
     return None
 
 
-def unipotent_elements(H: FpSubgroup) -> frozenset[Tuple4]:
-    """{x in H : (x - 1)^2 = 0 over F_p}; equals {x : x^p = 1} on SL(2)."""
+def _unipotent_columns(H: FpSubgroup) -> tuple[np.ndarray, ...]:
+    """The entry columns of {x in H : (x - 1)^2 = 0 over F_p}, in code
+    order; the set equals {x : x^p = 1} on SL(2)."""
     cols = H.closure.columns()
     unipotent = residually_unipotent_columns(cols, H.p)
-    return frozenset(zip(*(x[unipotent].tolist() for x in cols)))
+    return tuple(x[unipotent] for x in cols)
+
+
+def unipotent_elements(H: FpSubgroup) -> frozenset[tuple[int, ...]]:
+    """The unipotent elements of H as (a, b, c, d) tuples."""
+    return frozenset(zip(*(x.tolist() for x in _unipotent_columns(H))))
 
 
 def h_plus(H: FpSubgroup) -> FpSubgroup:
@@ -148,8 +143,8 @@ def h_plus(H: FpSubgroup) -> FpSubgroup:
     Its index in H is prime to p (checked): it swallows the p-Sylow
     subgroups.
     """
-    unips = unipotent_elements(H)
-    result = FpSubgroup.generated_by(H.p, sorted(unips))
+    closure = SubgroupClosure.trivial(H.closure.modulus).extend_by_pool(_unipotent_columns(H))
+    result = FpSubgroup(closure, closure.generators)
     index, rest = divmod(H.order, result.order)
     if rest or index % H.p == 0:
         raise InvariantViolation(
@@ -224,10 +219,13 @@ def enumerate_unipotent_generated(p: int, *, cap: int = DEFAULT_ENUM_CAP) -> lis
             for i in range(len(unip_codes)):
                 if done[i]:
                     continue
-                u = tuple(int(x[i]) for x in unip)
-                closure = H.closure.extend(_tuple_to_mat(u, modulus))
+                a, b, c, d = (int(x[i]) for x in unip)
+                u = MatP(((a, b), (c, d)), modulus)
+                closure = H.closure.extend(u)
                 # <u> = {1 + k (u - 1) : k < p}, as (u - 1)^2 = 0
-                cyclic = tuple((e + exponents * (x - e)) % p for x, e in zip(u, (1, 0, 0, 1)))
+                cyclic = tuple(
+                    (e + exponents * (x - e)) % p for x, e in zip(u.as_tuple(), (1, 0, 0, 1))
+                )
                 done |= np.isin(unip_codes, H.closure.double_coset(cyclic), assume_unique=True)
                 key = closure.codes.tobytes()
                 if key not in seen:
@@ -471,7 +469,11 @@ def roundtrip_check_fp(p: int) -> RoundtripReport:
         report.checked += 1
         if not np.array_equal(back.closure.codes, H.closure.codes):
             report.failures.append(
-                {"direction": "group", "order": H.order, "witness": H.generator_record}
+                {
+                    "direction": "group",
+                    "order": H.order,
+                    "witness": [g.to_json() for g in H.generator_record],
+                }
             )
     algebras = enumerate_nilpotently_generated(p)
     report.algebra_count = len(algebras)

@@ -26,9 +26,6 @@ from .enumeration import _factorize, sl2_columns, sl2_point_count
 from .errors import BudgetExceeded, InvariantViolation, ModulusMismatch, PreconditionViolation
 from .lattice import BASIS, adjoint_matrix
 
-Tuple4 = tuple[int, int, int, int]
-
-
 # ---------------------------------------------------------------------------
 # lambda_p: the depth to which Ad(x) - 1 vanishes
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from padiclie import (
     is_subalgebra_mod,
     lattice_level,
     lift_quadric,
+    log_congruence,
     membership_mod,
     optimality_search,
     quadric_residual,
@@ -30,14 +31,15 @@ from padiclie.approx import (
     trace_pairing_row,
 )
 from padiclie.errors import (
+    ClosureBudgetExceeded,
     DegenerateSpan,
     NotSurjective,
     PreconditionViolation,
     UnsupportedPrime,
 )
-from padiclie.lattice import BASIS, vec_scale, vec_to_mat
+from padiclie.lattice import BASIS, mat_to_vec, vec_scale, vec_to_mat
 from padiclie.sampling import random_exact_subalgebra
-from padiclie.core import random_sl2
+from padiclie.core import random_congruence_element, random_sl2, reduction_kernel_generators
 
 
 def test_select_r_examples():
@@ -260,8 +262,6 @@ def test_group_certificate_examples():
     assert group_certificate(gens, borel, 4)
 
     # the reduction kernel at depth n passes against anything proper at m <= n
-    from padiclie.core import reduction_kernel_generators
-
     deep_gens = reduction_kernel_generators(m, 3)
     anything = LieLattice.from_columns([(0, 0, 1)], m)
     assert group_certificate(deep_gens, anything, 3)
@@ -276,6 +276,52 @@ def test_group_certificate_rejects_elements_not_trivial_mod_p():
         group_certificate(gens, I, 1)
     with pytest.raises(PreconditionViolation):
         group_certificate(closure_of_generators(gens), I, 1)
+    # generators or a closure at another modulus than the lattice's
+    deep = reduction_kernel_generators(Modulus(5, 4), 2)
+    deep_closure = closure_of_generators(deep)
+    for mm in range(3):
+        with pytest.raises(PreconditionViolation):
+            group_certificate(deep, I, mm)
+        with pytest.raises(PreconditionViolation):
+            group_certificate(deep_closure, I, mm)
+
+
+def _group_certificate_oracle(closure, I, m):
+    """The certificate one element at a time: log h in p I + p^m sl2."""
+    modulus = I.modulus
+    target = I.scaled(1).plus_scaled_ambient(m)
+    for t in closure.iter_tuples():
+        logm = log_congruence(MatP.of([t[:2], t[2:]], modulus))
+        if not membership_mod(target, mat_to_vec(logm), modulus.N):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("pN", [(3, 4), (5, 3), (7, 3)])
+def test_group_certificate_matches_per_element(pN):
+    m = Modulus(*pN)
+    rng = random.Random(73 + m.p)
+    verdicts = []
+    for _ in range(6):
+        gens = [random_congruence_element(rng, m, 1), random_congruence_element(rng, m, 2)]
+        try:  # the cap keeps the per-element side quick
+            closure = closure_of_generators(gens, cap=3_000)
+        except ClosureBudgetExceeded:
+            continue
+        v, w = (mat_to_vec(log_congruence(g)) for g in gens)
+        candidates = [
+            LieLattice.from_columns([v], m).saturated(),
+            LieLattice.from_columns([v, w], m).saturated(),
+            LieLattice.from_columns([tuple(rng.randrange(m.pN) for _ in range(3))], m).saturated(),
+        ]
+        for I in candidates:
+            for depth in range(m.N):
+                verdict = group_certificate(closure, I, depth)
+                assert verdict == _group_certificate_oracle(closure, I, depth)
+                assert group_certificate(gens, I, depth) == verdict
+                verdicts.append(verdict)
+    assert len(verdicts) >= 36
+    assert True in verdicts and False in verdicts
 
 
 def test_group_certificate_worst_case_all_candidates():

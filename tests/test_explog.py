@@ -22,9 +22,9 @@ from padiclie import (
 from padiclie import explog
 from padiclie.errors import DomainViolation, UnsupportedPrime
 from padiclie.explog import (
+    _exp_series,
     _exp_series_columns,
-    _exp_series_raw,
-    _log_series_raw,
+    _log_series,
     _resnilp_cutoff,
     borel_coset_witness,
     exp_extended_columns,
@@ -267,6 +267,11 @@ def _tuples(cols):
     return list(zip(*(x.tolist() for x in cols)))
 
 
+def _scalar(series, t, m, cutoff):
+    """The scalar series on one (a, b, c, d), as a tuple."""
+    return series(MatP.of([t[:2], t[2:]], m), cutoff).as_tuple()
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(_COLUMN_MODULI), st.integers(1, 70), st.integers(0, 2**32))
 def test_exp_log_columns_match_scalar_series(pN, count, seed):
@@ -279,8 +284,8 @@ def test_exp_log_columns_match_scalar_series(pN, count, seed):
     with mock.patch.object(explog, "_BLOCK_ELEMENTS", 16):  # several blocks
         exps = exp_extended_columns(_columns(xs), m)
         logs = log_extended_columns(_columns(gs), m)
-    assert _tuples(exps) == [_exp_series_raw(x, p, N, cutoff) for x in xs]
-    assert _tuples(logs) == [_log_series_raw(g, p, N, cutoff) for g in gs]
+    assert _tuples(exps) == [_scalar(_exp_series, x, m, cutoff) for x in xs]
+    assert _tuples(logs) == [_scalar(_log_series, g, m, cutoff) for g in gs]
     # 2 p^(2W) >= 2^62 at (5, 14): the kernels must run on Python integers
     assert (exps[0].dtype == object) == ((p, N) == (5, 14))
 
@@ -299,7 +304,7 @@ def test_column_kernels_reject_one_out_of_domain_column(pN, monkeypatch):
     bad_x = (1, 0, 0, m.pN - 1)
     bad_g = (2, 0, 0, pow(2, -1, m.pN))
     with pytest.raises(DomainViolation):
-        _exp_series_raw(bad_x, p, N, cutoff)
+        _scalar(_exp_series, bad_x, m, cutoff)
     at = rng.randrange(41)
     with pytest.raises(DomainViolation):
         _exp_series_columns(_columns(xs[:at] + [bad_x] + xs[at:]), p, N, cutoff)
@@ -309,5 +314,5 @@ def test_column_kernels_reject_one_out_of_domain_column(pN, monkeypatch):
         log_extended_columns(_columns(gs[:at] + [bad_g] + gs[at:]), m)
     # the same blocks without the bad column pass
     assert _tuples(_exp_series_columns(_columns(xs), p, N, cutoff)) == [
-        _exp_series_raw(x, p, N, cutoff) for x in xs
+        _scalar(_exp_series, x, m, cutoff) for x in xs
     ]

@@ -1,3 +1,4 @@
+import json
 import random
 from itertools import product
 
@@ -60,8 +61,13 @@ def _sl2_fp(p):
 SL2_GENERATORS = [(1, 1, 0, 1), (1, 0, 1, 1)]
 
 
+def _generated_by(p, tuples):
+    m = Modulus(p, 1)
+    return FpSubgroup.generated_by(p, [_mat(t, m) for t in tuples])
+
+
 def _cyclic(p, t4):
-    return FpSubgroup.generated_by(p, [t4])
+    return _generated_by(p, [t4])
 
 
 def test_unipotent_elements_examples():
@@ -69,10 +75,10 @@ def test_unipotent_elements_examples():
     assert len(H.elements) == 5
     assert unipotent_elements(H) == H.elements
 
-    torus = FpSubgroup.generated_by(5, [(2, 0, 0, 3)])
+    torus = _generated_by(5, [(2, 0, 0, 3)])
     assert unipotent_elements(torus) == {(1, 0, 0, 1)}
 
-    full = FpSubgroup.generated_by(5, SL2_GENERATORS)
+    full = _generated_by(5, SL2_GENERATORS)
     assert full.order == 120
     assert full.elements == _sl2_fp(5)
     assert len(unipotent_elements(full)) == 25  # p^2 unipotents, identity included
@@ -82,7 +88,7 @@ def test_h_plus_examples():
     p = 5
     # Borel: upper triangular, order p (p - 1)
     borel_gens = [(1, 1, 0, 1), (2, 0, 0, 3)]
-    borel = FpSubgroup.generated_by(p, borel_gens)
+    borel = _generated_by(p, borel_gens)
     assert borel.order == p * (p - 1)
     plus = h_plus(borel)
     assert plus.order == p
@@ -90,16 +96,16 @@ def test_h_plus_examples():
     sylow = _cyclic(p, (1, 1, 0, 1))
     assert h_plus(sylow).elements == sylow.elements
 
-    torus = FpSubgroup.generated_by(p, [(2, 0, 0, 3)])
+    torus = _generated_by(p, [(2, 0, 0, 3)])
     assert h_plus(torus).order == 1
 
 
 def test_liec_bar_examples():
     p = 5
     assert liec_bar(_cyclic(p, (1, 1, 0, 1))).basis == ((1, 0, 0),)
-    full = FpSubgroup.generated_by(p, SL2_GENERATORS)
+    full = _generated_by(p, SL2_GENERATORS)
     assert liec_bar(full).rank == 3
-    torus = FpSubgroup.generated_by(p, [(2, 0, 0, 3)])
+    torus = _generated_by(p, [(2, 0, 0, 3)])
     assert liec_bar(torus).rank == 0
     with pytest.raises(UnsupportedPrime):
         liec_bar(_cyclic(3, (1, 1, 0, 1)))
@@ -145,7 +151,7 @@ def _enumerate_unipotent_generated_oracle(p):
                 closure = H.closure.extend(_mat(u, m))
                 key = closure.codes.tobytes()
                 if key not in seen:
-                    seen[key] = FpSubgroup(closure, (*H.generator_record, u))
+                    seen[key] = FpSubgroup(closure, (*H.generator_record, _mat(u, m)))
                     nxt.append(seen[key])
         frontier = nxt
     return sorted(seen.values(), key=lambda H: (H.order, H.canonical()))
@@ -188,6 +194,17 @@ def test_roundtrip_fp_and_smallest_prime():
     assert rep.subgroup_count == 8 and rep.algebra_count == 8
     smallest, reports = smallest_passing_prime((5, 7))
     assert smallest == 5
+
+
+def test_roundtrip_fp_failure_records_are_json(monkeypatch):
+    # a grpc_bar that returns the trivial group fails both directions; the
+    # group failure's witness is its generator record as matrix literals
+    monkeypatch.setattr(nori, "grpc_bar", lambda L: FpSubgroup.trivial(L.modulus.p))
+    rep = roundtrip_check_fp(5)
+    groups = [f["witness"] for f in rep.failures if f["direction"] == "group"]
+    nontrivial = [H for H in enumerate_unipotent_generated(5) if H.order > 1]
+    assert groups == [[g.to_json() for g in H.generator_record] for H in nontrivial]
+    json.dumps(rep.to_json())
 
 
 def test_roundtrip_fp_closes_each_algebra_once(monkeypatch):
@@ -233,7 +250,7 @@ def test_liec_bar_depends_only_on_h_plus():
     for H in enumerate_unipotent_generated(5):
         assert liec_bar(H).basis == liec_bar(h_plus(H)).basis
     # and on a mixed subgroup with a prime-to-p part
-    borel = FpSubgroup.generated_by(5, [(1, 1, 0, 1), (2, 0, 0, 3)])
+    borel = _generated_by(5, [(1, 1, 0, 1), (2, 0, 0, 3)])
     assert liec_bar(borel).basis == liec_bar(h_plus(borel)).basis
 
 

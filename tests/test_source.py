@@ -75,3 +75,42 @@ def test_benchmark_trace_hooks_exist():
         assert missing == [], f"{name} lost parameters {missing}"
         if "cap" in params:
             assert found["cap"].kind == inspect.Parameter.KEYWORD_ONLY, name
+
+
+# One element representation per use: a ``MatP`` for a single element, entry
+# columns for a set.  Only the Python-set closure oracle takes 4-tuples.
+_FOUR_TUPLE = ("Tuple4", "tuple[int, int, int, int]")
+_TUPLE_ORACLES = {"_closure_python"}
+_REMOVED = {"PadicScalar", "Tuple4", "_tuple_to_mat", "_mat_to_tuple", "contains_tuple"}
+
+
+def _parameters(node):
+    args = node.args
+    return [a for a in (*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg)
+            if a is not None]
+
+
+def _defined_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from (t.id for t in targets if isinstance(t, ast.Name))
+
+
+def test_no_library_signature_takes_a_four_tuple():
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        functions = [n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for node in functions:
+            if node.name in _TUPLE_ORACLES:
+                continue
+            for arg in _parameters(node):
+                annotation = ast.unparse(arg.annotation) if arg.annotation else ""
+                if any(t in annotation for t in _FOUR_TUPLE):
+                    found.append(f"{path.name}:{node.lineno} {node.name}({arg.arg}: {annotation})")
+        found += [f"{path.name}: defines {name}" for name in _defined_names(tree) if name in _REMOVED]
+    assert found == []
+    assert not hasattr(padiclie.FpSubgroup, "contains")  # use H.closure.contains
