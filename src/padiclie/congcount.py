@@ -4,14 +4,16 @@ checked against.
 
 Affine zeros mod p^n are counted on a p-adic digit tree, the reduction
 behind Igusa's local zeta function (Denef, "Report on Igusa's local zeta
-function", Seminaire Bourbaki 741, 1991). Level 1 is the grid mod p. A
-root mod p at which some partial derivative is a unit has exactly
+function", Seminaire Bourbaki 741, 1991). Level 1 is the grid mod p,
+evaluated mod p^2 together with its probes x + p e_i in one pass. A root
+mod p at which some partial derivative is a unit has exactly
 p^((s-1)(n-1)) lifts mod p^n (Hensel), counted in closed form; only the
-singular roots are lifted, one digit at a time, on entry columns that are
-int64 while every product stays below 2^62 and Python integers otherwise.
-Counts on SL(2, F_p) are exhaustive and vectorized. Bound comparisons
-involving a fractional power of p are raised to an integer power first, so
-nothing is ever floated.
+singular roots are lifted, one digit at a time. Counts on SL(2, F_p) are
+exhaustive. Every count evaluates f with one column evaluator, on entry
+columns that are int64 while every product stays below 2^62 and Python
+integers otherwise; the full-grid evaluator is kept only as the tests'
+oracle. Bound comparisons involving a fractional power of p are raised to
+an integer power first, so nothing is ever floated.
 """
 
 from __future__ import annotations
@@ -140,9 +142,10 @@ def parse_poly(text: str, nvars: int | None = None) -> IntPolynomial:
 
 
 def _evaluate_on_grid(f: IntPolynomial, q: int) -> np.ndarray:
-    """Values of f on (Z/q)^s as an s-dimensional int64 array mod q: the
-    first level of ``count_affine`` at q = p, and its test oracle at
-    q = p^n."""
+    """Values of f on (Z/q)^s as an s-dimensional int64 array mod q, built
+    independently of ``_evaluate_on_columns``: the test oracle of
+    ``count_affine`` at q = p^n and of ``count_mod_p_on_sl2`` at q = p. No
+    library path calls it."""
     s = f.nvars
     xs = np.arange(q, dtype=np.int64)
     max_exp = [0] * s
@@ -211,12 +214,14 @@ def _lift(exps: np.ndarray, coeffs: list[int], nodes: np.ndarray, digits: np.nda
 def count_affine(f: IntPolynomial, p: int, n: int, *, cap: int = DEFAULT_ENUM_CAP) -> int:
     """Exact number of zeros of f on (Z/p^n)^s, by a p-adic digit tree.
 
-    The roots mod p come from the grid mod p. For k >= 1,
+    At n = 1 the count is the zeros of f on the grid mod p. For k >= 1,
     f(x + p^k t) = f(x) + p^k grad f(x).t mod p^(k+1), and grad f mod p is
     the same for every lift of x. So a root mod p where some partial
     derivative is a unit has exactly p^(s-1) children at each level, and
-    p^((s-1)(n-1)) lifts mod p^n; these are counted in closed form. The
-    gradient mod p is read off f(x + p e_i) - f(x) = p df/dx_i(x) mod p^2.
+    p^((s-1)(n-1)) lifts mod p^n; these are counted in closed form. Level 1
+    is one evaluation mod p^2 at every x of the grid mod p and at its
+    probes x + p e_i: the roots are the x with p | f(x), and the gradient
+    mod p is read off f(x + p e_i) - f(x) = p df/dx_i(x) mod p^2.
     The singular roots are lifted one digit at a time: the p^s children
     x + p^k t of each root mod p^k are evaluated mod p^(k+1), in blocks of
     at most ``_BLOCK`` children (or one root's), and the zeros are kept.
@@ -231,24 +236,22 @@ def count_affine(f: IntPolynomial, p: int, n: int, *, cap: int = DEFAULT_ENUM_CA
     q = p**n
     if q**f.nvars > cap:
         raise BudgetExceeded(f"grid size {q ** f.nvars} exceeds cap {cap}")
-    zeros = _evaluate_on_grid(f, p) == 0
-    if n == 1:
-        return int(zeros.sum())
-    roots = np.array(np.nonzero(zeros), dtype=np.int64)
-    if roots.size == 0:
-        return 0
     s = f.nvars
     exps = np.array([e for e, _ in f.terms], dtype=np.int64)
     coeffs = [c for _, c in f.terms]
-    _, near = _lift(exps, coeffs, roots, np.eye(s + 1, s, -1, dtype=np.int64).T, p, 1)
-    singular = (near == near[:, :1]).all(axis=1)
-    total = int((~singular).sum()) * p ** ((s - 1) * (n - 1))
+    digits = np.indices((p,) * s).reshape(s, -1)
+    if n == 1:
+        return int((_evaluate_on_columns(exps, coeffs, digits, p) == 0).sum())
+    # f mod p^2 at each x of the grid mod p and at its probes x + p e_i
+    _, near = _lift(exps, coeffs, digits, np.eye(s + 1, s, -1, dtype=np.int64).T, p, 1)
+    roots = near[:, 0] % p == 0
+    singular = roots & (near == near[:, :1]).all(axis=1)
+    total = int((roots & ~singular).sum()) * p ** ((s - 1) * (n - 1))
     if not singular.any():
         return total
-    digits = np.indices((p,) * s).reshape(s, -1)
     chunk = max(1, _BLOCK // p**s)
     # Depth first, so at most one partial block waits per level.
-    stack = [(1, roots[:, singular])]
+    stack = [(1, digits[:, singular])]
     while stack:
         k, nodes = stack.pop()
         if nodes.shape[1] > chunk:
@@ -319,7 +322,8 @@ class VarietyCount:
 
 def count_mod_p_on_sl2(f: IntPolynomial, p: int, *, cap: int = DEFAULT_ENUM_CAP) -> VarietyCount:
     """Exact zero count of a 4-variable polynomial (entries a, b, c, d) on
-    SL(2, F_p), with the measured ratio against deg(f) p^2."""
+    SL(2, F_p), with the measured ratio against deg(f) p^2.  The cap
+    bounds |SL(2, F_p)| and is checked before the group is enumerated."""
     if f.nvars != 4:
         raise PreconditionViolation("polynomial must use the four matrix entries x0..x3")
     _require_prime(p)
@@ -328,19 +332,13 @@ def count_mod_p_on_sl2(f: IntPolynomial, p: int, *, cap: int = DEFAULT_ENUM_CAP)
     deg = f.degree(mod_p=p)
     if f.is_zero(mod_p=p):
         raise ZeroModP("polynomial vanishes identically mod p")
-    a, b, c, d = sl2_columns(p)
-    if len(a) > cap:
-        raise BudgetExceeded(f"|SL(2, F_p)| = {len(a)} exceeds cap {cap}")
-    cols = (a, b, c, d)
-    acc = np.zeros(len(a), dtype=np.int64)
-    for exps, coeff in f.terms:
-        piece = np.full(len(a), coeff % p, dtype=np.int64)
-        for i, e in enumerate(exps):
-            for _ in range(e):
-                piece = (piece * cols[i]) % p
-        acc = (acc + piece) % p
-    count = int((acc == 0).sum())
-    if count == len(a):
+    total = sl2_point_count(p)
+    if total > cap:
+        raise BudgetExceeded(f"|SL(2, F_p)| = {total} exceeds cap {cap}")
+    exps = np.array([e for e, _ in f.terms], dtype=np.int64)
+    values = _evaluate_on_columns(exps, [c for _, c in f.terms], np.stack(sl2_columns(p)), p)
+    count = int((values == 0).sum())
+    if count == total:
         raise IdenticallyZeroOnV("polynomial vanishes on every point of SL(2, F_p)")
     return VarietyCount(count, deg, p)
 

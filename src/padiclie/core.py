@@ -556,6 +556,8 @@ def _dimino_codes(
             piece = tuple(x[lo:lo + chunk, None] for x in cand)
             if lo:  # cosets found earlier in this round may hold some
                 fresh = known.missing(_encode(*piece, q)[:, 0])
+                if not fresh.any():
+                    continue
                 piece = tuple(x[fresh] for x in piece)
             cosets = _encode(*mul_columns(h, piece, q), q)  # row j: H.t_j
             _, first = np.unique(cosets.min(axis=1), return_index=True)
@@ -890,9 +892,3 @@ def random_congruence_element(rng, modulus: Modulus, n: int) -> MatP:
     c = rng.randrange(r)
     return _congruence_element(modulus, n, a, b, c)
 
-
-def sl2_order(p: int, n: int) -> int:
-    """|SL(2, Z/p^n)| = p^(3n-2) (p^2 - 1)."""
-    if n < 1:
-        raise ValueError("n >= 1 required")
-    return p ** (3 * n - 2) * (p * p - 1)

@@ -55,8 +55,7 @@ def lambda_p(x: MatP) -> Valuation:
 # ---------------------------------------------------------------------------
 
 
-def _group_columns(modulus: Modulus, cap: int) -> tuple[np.ndarray, ...]:
-    q = modulus.pN
+def _group_columns(q: int, cap: int) -> tuple[np.ndarray, ...]:
     total = sl2_point_count(q)
     if total > cap:
         raise BudgetExceeded(f"|SL(2, Z/{q})| = {total} exceeds cap {cap}")
@@ -76,9 +75,8 @@ def phi_brute(
     inside the adjoint group; the center acts trivially by conjugation so
     the normalized volume is unaffected.
     """
-    modulus = x.modulus
-    q = modulus.pN
-    a, b, c, d = _group_columns(modulus, cap)
+    q = x.modulus.pN
+    a, b, c, d = _group_columns(q, cap)
     (xa, xb), (xc, xd) = x.rows
     xinv = mat_inverse(x)
     (ya, yb), (yc, yd) = xinv.rows
@@ -300,9 +298,7 @@ def c_delta(gamma: Sequence[Sequence[int]], spec: Gamma0Spec | GammaFullSpec,
         return CosetFixedPoints(count, index)
     if M > 50:
         raise BudgetExceeded("principal type budgeted for M <= 50")
-    a, b, c, d = sl2_columns(M)
-    if len(a) > cap:
-        raise BudgetExceeded(f"|SL(2, Z/{M})| = {len(a)} exceeds cap {cap}")
+    a, b, c, d = _group_columns(M, cap)
     # delta^{-1} gamma delta = 1 demands gamma delta = delta
     m11 = (ga * a + gb * c) % M
     m12 = (ga * b + gb * d) % M
@@ -396,7 +392,7 @@ def unipotent_orbital_volume(
     at one group sweep.
     """
     q = modulus.pN
-    a, b, c, d = _group_columns(modulus, cap)
+    a, b, c, d = _group_columns(q, cap)
     total_pairs = 0
     for t in range(q):
         # k^{-1} u k with u = [[1, t], [0, 1]] and k^{-1} = [[d, -b], [-c, a]]:

@@ -14,6 +14,7 @@ from padiclie import (
     schmidt_check,
 )
 from padiclie.congcount import _evaluate_on_grid, random_polynomial
+from padiclie.enumeration import sl2_columns
 from padiclie.errors import (
     BudgetExceeded,
     IdenticallyZeroOnV,
@@ -99,6 +100,45 @@ def test_count_on_sl2_examples():
     assert res_c.count == 0
     with pytest.raises(IdenticallyZeroOnV):
         count_mod_p_on_sl2(parse_poly("x0*x3-x1*x2-1", nvars=4), 5)
+
+
+# The acceptance ratio sweep's named polynomials, plus one that vanishes on
+# SL(2) and one that vanishes mod p, so both refusals are compared too.
+_SL2_NAMED = ("x1", "x0-1", "x0-x3", "x0+x3-2", "x0+x3", "x1*x2", "x0*x3-x1*x2-1")
+
+
+def _sl2_verdict(f, p):
+    try:
+        return count_mod_p_on_sl2(f, p).count
+    except (IdenticallyZeroOnV, ZeroModP) as exc:
+        return type(exc)
+
+
+def _sl2_oracle(f, p):
+    if f.is_zero(mod_p=p):
+        return ZeroModP
+    a, b, c, d = sl2_columns(p)
+    count = int((_evaluate_on_grid(f, p)[a, b, c, d] == 0).sum())
+    return IdenticallyZeroOnV if count == len(a) else count
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_count_on_sl2_matches_grid(p):
+    polys = [parse_poly(text, nvars=4) for text in _SL2_NAMED + (f"{p}*x1",)]
+    rng = random.Random(1000 + p)
+    polys += [random_polynomial(rng, 3, 4, p) for _ in range(40)]
+    verdicts = [_sl2_verdict(f, p) for f in polys]
+    assert verdicts == [_sl2_oracle(f, p) for f in polys]
+    assert {IdenticallyZeroOnV, ZeroModP} <= set(verdicts)
+
+
+def test_count_on_sl2_checks_cap_before_enumerating(monkeypatch):
+    def refuse(q):
+        raise AssertionError("SL(2, F_p) enumerated before the cap check")
+
+    monkeypatch.setattr(congcount, "sl2_columns", refuse)
+    with pytest.raises(BudgetExceeded):
+        count_mod_p_on_sl2(parse_poly("x1", nvars=4), 13, cap=100)
 
 
 def test_schmidt_examples():

@@ -114,3 +114,22 @@ def test_no_library_signature_takes_a_four_tuple():
         found += [f"{path.name}: defines {name}" for name in _defined_names(tree) if name in _REMOVED]
     assert found == []
     assert not hasattr(padiclie.FpSubgroup, "contains")  # use H.closure.contains
+
+
+# One polynomial evaluator: library paths count zeros through
+# ``congcount._evaluate_on_columns``; the full grid evaluator is the tests'
+# oracle only.
+_ORACLE_ONLY = {"_evaluate_on_grid"}
+
+
+def test_grid_evaluator_is_the_oracle_only():
+    found, defined = [], set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.FunctionDef) and node.name in _ORACLE_ONLY:
+                defined.add(f"{path.name}:{node.name}")
+            name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+            if name in _ORACLE_ONLY:
+                found.append(f"{path.name}:{node.lineno} uses {name}")
+    assert found == []
+    assert defined == {"congcount.py:_evaluate_on_grid"}

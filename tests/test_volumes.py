@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from padiclie import volumes
 from padiclie import (
     Gamma0Spec,
     GammaFullSpec,
@@ -20,7 +21,7 @@ from padiclie import (
 )
 from padiclie.core import random_sl2, mat_inverse
 from padiclie.enumeration import sl2_columns, sl2_point_count
-from padiclie.errors import PreconditionViolation
+from padiclie.errors import BudgetExceeded, PreconditionViolation
 from padiclie.volumes import (
     predicate_closure,
     predicate_full,
@@ -169,6 +170,15 @@ def test_c_delta_full_level():
     shifted = [[1, 5], [0, 1]]
     res3 = c_delta(shifted, GammaFullSpec(5))
     assert res3.count == res3.index
+
+
+def test_c_delta_full_level_checks_cap_before_enumerating(monkeypatch):
+    def refuse(q):
+        raise AssertionError("SL(2, Z/M) enumerated before the cap check")
+
+    monkeypatch.setattr(volumes, "sl2_columns", refuse)
+    with pytest.raises(BudgetExceeded):
+        c_delta([[1, 1], [0, 1]], GammaFullSpec(13), cap=100)
 
 
 def test_beta_examples():
