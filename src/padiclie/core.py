@@ -704,6 +704,19 @@ class SubgroupClosure:
         cols = mul_columns(left, tuple(x[None, :] for x in h), q)
         return np.unique(_encode(*cols, q))
 
+    def conjugate(self, x: MatP, generators: tuple[MatP, ...]) -> "SubgroupClosure":
+        """The closure of x H x^-1, from one product per element of H and a
+        sort, recorded as generated by ``generators``, which the caller
+        vouches generate x H x^-1."""
+        if x.modulus != self.modulus:
+            raise ModulusMismatch(f"element lives mod {x.modulus.pN}, closure mod {self.q}")
+        if x.det() != 1 % self.q:
+            raise ValueError("conjugator has det != 1 mod p^N")
+        q = self.q
+        h = _decode(self._codes, q)
+        cols = mul_columns(mul_columns(x.as_tuple(), h, q), mat_inverse(x).as_tuple(), q)
+        return SubgroupClosure(self.modulus, generators, np.sort(_encode(*cols, q)))
+
 
 def _iter_tuples(codes: np.ndarray, q: int) -> Iterator[tuple[int, ...]]:
     for code in codes.tolist():

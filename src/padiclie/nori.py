@@ -48,6 +48,8 @@ from .core import (
     element_codes,
     group_level,
     in_principal_congruence_columns,
+    mat_inverse,
+    mul_columns,
     residually_unipotent_columns,
 )
 from .enumeration import sl2_columns
@@ -187,46 +189,51 @@ def enumerate_unipotent_generated(p: int, *, cap: int = DEFAULT_ENUM_CAP) -> lis
     time, so the breadth-first sweep is complete.  One extension serves
     every unipotent of the set H <u> H: a unipotent u != 1 has order p, so
     u^k generates <u> for p not dividing k, and <H, h u^k h'> = <H, u> for
-    h, h' in H; for p dividing k, h u^k h' lies in H and adds nothing.  A
-    unipotent is skipped only when the subgroup it would give from H is
-    already known, so each subgroup is still first found by the same pair
-    (H, u), with the same generator record.  At the budgeted primes this
-    takes 2 (p + 1) stages: one per Sylow p-subgroup from the trivial group
-    and one from each of them to the full group (the tests count them).
-    The count of subgroups is cross-checked against the
-    classification of subgroups of SL(2, F_p) containing p-elements: the
-    trivial group, the p + 1 Sylow p-subgroups, and the full group, so
-    p + 3 in total.
+    h, h' in H; for p dividing k, h u^k h' lies in H and adds nothing.
+    Conjugation is an automorphism, so when H = x H0 x^-1 for a subgroup
+    H0 already extended, <H, u> = x <H0, x^-1 u x> x^-1: H's extensions are
+    conjugated from H0's instead of built (``_transported``).  At the
+    budgeted primes the p + 1 Sylow p-subgroups are conjugate, so the
+    sweep takes p + 2 stages: one per Sylow p-subgroup from the trivial
+    group and one from the first of them to the full group (the tests
+    count them).  A unipotent is skipped only when the subgroup it would
+    give from H is already known, so each subgroup is still first found by
+    the same pair (H, u), with the same generator record.  The count of
+    subgroups is cross-checked against the classification of subgroups of
+    SL(2, F_p) containing p-elements: the trivial group, the p + 1 Sylow
+    p-subgroups, and the full group, so p + 3 in total.
     """
-    if p not in (5, 7, 11, 13):
+    try:
+        Modulus(p, 1)
+    except ValueError as exc:
+        raise UnsupportedPrime(f"F_p enumeration needs a prime: {exc}") from None
+    if p < 5:
+        raise UnsupportedPrime("F_p enumeration needs p >= 5")
+    if p > 13:
         raise BudgetExceeded("enumeration is budgeted for p in {5, 7, 11, 13}")
-    modulus = Modulus(p, 1)
-    cols = sl2_columns(p)
-    unip = tuple(x[residually_unipotent_columns(cols, p)] for x in cols)
+    sl2 = sl2_columns(p)
+    unip = tuple(x[residually_unipotent_columns(sl2, p)] for x in sl2)
     codes = element_codes(unip, p)
     order = np.argsort(codes)
     unip, unip_codes = tuple(x[order] for x in unip), codes[order]
-    exponents = np.arange(p)
     # a closure's sorted code array is canonical, so its bytes key the subgroup
     seen: dict[bytes, FpSubgroup] = {}
     trivial = FpSubgroup.trivial(p)
     seen[trivial.closure.codes.tobytes()] = trivial
+    swept: list[tuple[FpSubgroup, list[tuple[MatP, SubgroupClosure]], np.ndarray]] = []
     frontier = [trivial]
     while frontier:
         nxt = []
         for H in frontier:
-            done = H.closure.contains_columns(*unip)  # unipotents u whose <H, u> is known
-            for i in range(len(unip_codes)):
-                if done[i]:
-                    continue
-                a, b, c, d = (int(x[i]) for x in unip)
-                u = MatP(((a, b), (c, d)), modulus)
-                closure = H.closure.extend(u)
-                # <u> = {1 + k (u - 1) : k < p}, as (u - 1)^2 = 0
-                cyclic = tuple(
-                    (e + exponents * (x - e)) % p for x, e in zip(u.as_tuple(), (1, 0, 0, 1))
-                )
-                done |= np.isin(unip_codes, H.closure.double_coset(cyclic), assume_unique=True)
+            for H0, extensions0, table0 in swept:
+                x = _conjugator(H0, H, sl2) if H0.order == H.order else None
+                if x is not None:
+                    extensions = _transported(H, x, extensions0, table0, unip, unip_codes)
+                    break
+            else:
+                extensions, table = _swept(H, unip, unip_codes)
+                swept.append((H, extensions, table))
+            for u, closure in extensions:
                 key = closure.codes.tobytes()
                 if key not in seen:
                     if len(seen) + 1 > cap:
@@ -235,7 +242,8 @@ def enumerate_unipotent_generated(p: int, *, cap: int = DEFAULT_ENUM_CAP) -> lis
                     seen[key] = extended
                     nxt.append(extended)
         frontier = nxt
-    subgroups = sorted(seen.values(), key=lambda H: (H.order, H.canonical()))
+    # codes order like (a, b, c, d) tuples, as entries lie in [0, p)
+    subgroups = sorted(seen.values(), key=lambda H: (H.order, H.closure.codes.tolist()))
     expected = p + 3
     if len(subgroups) != expected:
         raise BracketClosureAnomaly(
@@ -244,6 +252,80 @@ def enumerate_unipotent_generated(p: int, *, cap: int = DEFAULT_ENUM_CAP) -> lis
             p=p,
         )
     return subgroups
+
+
+def _column_mat(cols: tuple[np.ndarray, ...], i: int, modulus: Modulus) -> MatP:
+    a, b, c, d = (int(x[i]) for x in cols)
+    return MatP(((a, b), (c, d)), modulus)
+
+
+def _swept(
+    H: FpSubgroup, unip: tuple[np.ndarray, ...], unip_codes: np.ndarray
+) -> tuple[list[tuple[MatP, SubgroupClosure]], np.ndarray]:
+    """The extensions (u, <H, u>) of H, one Dimino stage per double coset
+    H <u> H, in code order of u, and the table that gives, for each
+    unipotent v, the position of <H, v> in that list, or -1 where v lies in
+    H."""
+    p, modulus = H.p, H.closure.modulus
+    exponents = np.arange(p)
+    done = H.closure.contains_columns(*unip)
+    table = np.full(len(unip_codes), -1)
+    extensions = []
+    for i in range(len(unip_codes)):
+        if done[i]:
+            continue
+        u = _column_mat(unip, i, modulus)
+        # <u> = {1 + k (u - 1) : k < p}, as (u - 1)^2 = 0
+        cyclic = tuple((e + exponents * (x - e)) % p for x, e in zip(u.as_tuple(), (1, 0, 0, 1)))
+        fresh = ~done & np.isin(unip_codes, H.closure.double_coset(cyclic), assume_unique=True)
+        table[fresh] = len(extensions)
+        done |= fresh
+        extensions.append((u, H.closure.extend(u)))
+    return extensions, table
+
+
+def _conjugator(H0: FpSubgroup, H: FpSubgroup, sl2: tuple[np.ndarray, ...]) -> MatP | None:
+    """The first x in ``sl2_columns`` order with x H0 x^-1 = H, or None.
+    H0 and H have equal order, so x H0 x^-1 inside H, tested on the
+    generators of H0, is equality."""
+    p = H.p
+    a, b, c, d = sl2
+    inverse = (d, -b % p, -c % p, a)
+    hit = np.ones(len(a), dtype=bool)
+    for g in H0.closure.generators:
+        conjugates = mul_columns(mul_columns(sl2, g.as_tuple(), p), inverse, p)
+        hit &= H.closure.contains_columns(*conjugates)
+    hits = np.flatnonzero(hit)
+    return _column_mat(sl2, hits[0], H.closure.modulus) if hits.size else None
+
+
+def _transported(
+    H: FpSubgroup,
+    x: MatP,
+    extensions0: list[tuple[MatP, SubgroupClosure]],
+    table0: np.ndarray,
+    unip: tuple[np.ndarray, ...],
+    unip_codes: np.ndarray,
+) -> list[tuple[MatP, SubgroupClosure]]:
+    """The extensions (u, <H, u>) of H = x H0 x^-1, as x <H0, v> x^-1 for
+    v = x^-1 u x read from H0's table: one for the first u, in code order,
+    of each table entry, with the generators <H, u> would get from
+    ``extend``."""
+    p = H.p
+    v = mul_columns(mul_columns(mat_inverse(x).as_tuple(), unip, p), x.as_tuple(), p)
+    entry = table0[np.searchsorted(unip_codes, element_codes(v, p))]
+    _, first = np.unique(entry, return_index=True)
+    extensions = []
+    for i in np.sort(first):
+        if entry[i] < 0:  # u lies in H
+            continue
+        u = _column_mat(unip, i, H.closure.modulus)
+        generators = (*H.closure.generators, u)
+        closure = extensions0[entry[i]][1].conjugate(x, generators)
+        if not all(closure.contains(g) for g in generators):
+            raise InvariantViolation(f"conjugated closure of order {closure.order} misses <H, u>")
+        extensions.append((u, closure))
+    return extensions
 
 
 # Subspaces of one dimension are scanned this many at a time.
@@ -459,9 +541,11 @@ def roundtrip_check_fp(p: int) -> RoundtripReport:
         return report
     report.subgroup_count = len(subgroups)
     closed: dict[LieLattice, FpSubgroup] = {}  # grpc_bar(L) by L
+    # liec_bar(H) by the code bytes of H: liec_padic reads only the elements
+    lattices: dict[bytes, LieLattice] = {}
     for H in subgroups:
         try:
-            L = liec_bar(H)
+            L = lattices[H.closure.codes.tobytes()] = liec_bar(H)
             back = closed[L] = grpc_bar(L)
         except BracketClosureAnomaly as exc:
             report.anomalies.append(str(exc))
@@ -479,7 +563,9 @@ def roundtrip_check_fp(p: int) -> RoundtripReport:
     report.algebra_count = len(algebras)
     for L in algebras:
         try:
-            back_l = liec_bar(closed[L] if L in closed else grpc_bar(L))
+            back = closed[L] if L in closed else grpc_bar(L)
+            key = back.closure.codes.tobytes()
+            back_l = lattices[key] if key in lattices else liec_bar(back)
         except BracketClosureAnomaly as exc:
             report.anomalies.append(str(exc))
             continue

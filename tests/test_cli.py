@@ -171,6 +171,31 @@ def test_nori_command_runs_each_prime_once(capsys, monkeypatch):
     assert calls == [5, 7, 5]
 
 
+@pytest.mark.parametrize(
+    "p, digest",
+    [
+        (5, "d55b173bb07fc54c64245d704efac6bad68f8db1a5f6bb22ecac828978ea4970"),
+        (7, "b46cce7e02d80885380b0728289d0435aa911257b6fabb0e02a7746068f229bf"),
+        (11, "5803d14dee9d1466a8c96ca25fb25cd298a8963045665770a4caf90d9b811b58"),
+        (13, "98160359378ee7edf3b291b22c88b982de4962c027a7fef8a5d387565f743e83"),
+    ],
+)
+def test_nori_command_digests(capsys, p, digest):
+    code, rep = _run(capsys, ["nori", "--p", str(p)])
+    assert code == 0 and rep["digest"] == digest
+
+
+@pytest.mark.parametrize("p", ["4", "-5", "9", "3"])
+def test_nori_rejects_non_prime_or_small_p(capsys, p):
+    assert main(["nori", f"--p={p}"]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_nori_refuses_primes_above_budget(capsys):
+    assert main(["nori", "--p", "17"]) == 3
+    assert "budget exceeded" in capsys.readouterr().err
+
+
 def test_report_merge(capsys, tmp_path):
     _, rep1 = _run(capsys, ["count", "--poly", "x0", "--p", "3", "--n", "1"])
     _, rep2 = _run(capsys, ["count", "--poly", "x0^2", "--p", "3", "--n", "2"])

@@ -276,6 +276,19 @@ def test_double_coset_of_a_cyclic_group_of_prime_order():
         assert np.array_equal(H.extend(MatP.of([[a, b], [c, d]], m)).codes, target)
 
 
+def test_conjugate_matches_closing_the_conjugated_generators():
+    rng = random.Random(6)
+    for m in (Modulus(7, 1), Modulus(3, 2), Modulus(46349, 1)):
+        H = closure_of_generators([MatP.of([[1, 1], [0, 1]], m), MatP.of([[-1, 0], [0, -1]], m)])
+        x = random_sl2(rng, m)
+        gens = tuple(x @ g @ mat_inverse(x) for g in H.generators)
+        conjugated = H.conjugate(x, gens)
+        assert conjugated.generators == gens
+        assert np.array_equal(conjugated.codes, closure_of_generators(gens).codes)
+    with pytest.raises(ModulusMismatch):
+        H.conjugate(MatP.identity(Modulus(7, 1)), ())
+
+
 def test_closure_examples():
     m = Modulus(3, 2)
     gens = [MatP.of([[1, 1], [0, 1]], m), MatP.of([[1, 0], [1, 1]], m)]

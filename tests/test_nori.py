@@ -29,13 +29,20 @@ from padiclie.core import (
     SubgroupClosure,
     closure_of_pool,
     in_principal_congruence,
+    mat_inverse,
     reduction_kernel_generators,
     residually_nilpotent,
     residually_nilpotent_columns,
     residually_unipotent,
 )
 from padiclie.enumeration import sl2_columns
-from padiclie.errors import ClosureBudgetExceeded, PreconditionViolation, UnsupportedPrime
+from padiclie.errors import (
+    BudgetExceeded,
+    ClosureBudgetExceeded,
+    InvariantViolation,
+    PreconditionViolation,
+    UnsupportedPrime,
+)
 from padiclie.explog import exp_extended, exp_trunc, log_extended, log_trunc
 from padiclie.lattice import (
     mat_to_vec,
@@ -168,7 +175,8 @@ def test_enumerate_unipotent_generated_matches_oracle(p):
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
 def test_enumerate_unipotent_generated_stage_count(p, monkeypatch):
     # one stage per Sylow p-subgroup from the trivial group, and one from
-    # each Sylow p-subgroup to the full group
+    # the first Sylow p-subgroup to the full group; the other Sylow
+    # p-subgroups are its conjugates and reuse that stage
     stages = []
     extend = SubgroupClosure.extend
 
@@ -178,8 +186,94 @@ def test_enumerate_unipotent_generated_stage_count(p, monkeypatch):
 
     monkeypatch.setattr(SubgroupClosure, "extend", counting)
     enumerate_unipotent_generated(p)
-    assert len(stages) == 2 * (p + 1)
-    assert sorted(stages) == [1] * (p + 1) + [p] * (p + 1)
+    assert len(stages) == p + 2
+    assert sorted(stages) == [1] * (p + 1) + [p]
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_transported_extensions_match_extend(p, monkeypatch):
+    # every closure conjugated from an earlier subgroup's extension equals
+    # the Dimino stage it replaces, elements and generators alike
+    transported = []
+    transport = nori._transported
+
+    def recording(H, *args):
+        extensions = transport(H, *args)
+        transported.extend((H, u, closure) for u, closure in extensions)
+        return extensions
+
+    monkeypatch.setattr(nori, "_transported", recording)
+    enumerate_unipotent_generated(p)
+    assert len(transported) == p  # the p Sylow p-subgroups after the first, to SL(2, F_p)
+    for H, u, closure in transported:
+        direct = H.closure.extend(u)
+        assert np.array_equal(closure.codes, direct.codes)
+        assert closure.generators == direct.generators
+
+
+def test_transported_closure_is_checked(monkeypatch):
+    # a conjugated closure that misses <H, u> is an invariant violation,
+    # raised also under python -O
+    monkeypatch.setattr(
+        SubgroupClosure, "conjugate", lambda self, x, gens: SubgroupClosure.trivial(self.modulus)
+    )
+    with pytest.raises(InvariantViolation):
+        enumerate_unipotent_generated(5)
+
+
+def _brute_force_conjugator(H0, H, p):
+    target = H.elements
+    m = Modulus(p, 1)
+    for t in zip(*(x.tolist() for x in sl2_columns(p))):
+        x = _mat(t, m)
+        x_inv = mat_inverse(x)
+        if {(x @ _mat(h, m) @ x_inv).as_tuple() for h in H0.elements} == target:
+            return x
+    return None
+
+
+def test_conjugator_matches_brute_force():
+    # equal-order cyclic subgroups of SL(2, F_p) are all conjugate (their
+    # tori are), so pairs are drawn among groups generated by one or two
+    # elements, where equal orders need not mean conjugate (C8 and Q8)
+    p, rng = 7, random.Random(20261019)
+    elements = sorted(_sl2_fp(p))
+    by_order = {}
+    for _ in range(60):
+        H = _generated_by(p, rng.sample(elements, rng.choice((1, 2))))
+        if H.order <= 48:
+            by_order.setdefault(H.order, {})[H.closure.codes.tobytes()] = H
+    pairs = [
+        pair
+        for groups in by_order.values()
+        for pair in product(groups.values(), repeat=2)
+        if len(groups) > 1
+    ]
+    sl2 = sl2_columns(p)
+    outcomes = set()
+    for H0, H in rng.sample(pairs, 24):
+        x = nori._conjugator(H0, H, sl2)
+        assert x == _brute_force_conjugator(H0, H, p)
+        outcomes.add(x is None)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_enumeration_sort_key_is_canonical_order(p):
+    # codes order like (a, b, c, d) tuples, as every entry lies in [0, p)
+    subs = enumerate_unipotent_generated(p)
+    shuffled = random.Random(p).sample(subs, len(subs))
+    by_tuples = sorted(shuffled, key=lambda H: (H.order, H.canonical()))
+    by_codes = sorted(shuffled, key=lambda H: (H.order, H.closure.codes.tolist()))
+    assert by_tuples == by_codes == subs
+
+
+def test_enumerate_unipotent_generated_rejects_bad_primes():
+    for p in (4, -5, 9, 3):
+        with pytest.raises(UnsupportedPrime):
+            enumerate_unipotent_generated(p)
+    with pytest.raises(BudgetExceeded):
+        enumerate_unipotent_generated(17)
 
 
 def test_nilpotently_generated_enumeration():
@@ -205,6 +299,27 @@ def test_roundtrip_fp_failure_records_are_json(monkeypatch):
     nontrivial = [H for H in enumerate_unipotent_generated(5) if H.order > 1]
     assert groups == [[g.to_json() for g in H.generator_record] for H in nontrivial]
     json.dumps(rep.to_json())
+
+
+def test_roundtrip_fp_reuses_group_lattices(monkeypatch):
+    # the algebra loop reads liec_bar of each subgroup the group loop met
+    calls = []
+
+    def counting(H):
+        calls.append(H.order)
+        return liec_bar(H)
+
+    monkeypatch.setattr(nori, "liec_bar", counting)
+    rep = roundtrip_check_fp(7)
+    assert len(calls) == 7 + 3
+    assert rep.to_json() == {
+        "p": 7,
+        "subgroup_count": 10,
+        "algebra_count": 10,
+        "failures": [],
+        "anomalies": [],
+        "checked": 20,
+    }
 
 
 def test_roundtrip_fp_closes_each_algebra_once(monkeypatch):
