@@ -14,15 +14,9 @@ import json
 import random
 import sys
 import time
-from fractions import Fraction
 
 from . import __version__
-from .core import (
-    DEFAULT_CLOSURE_CAP,
-    DEFAULT_ENUM_CAP,
-    MatP,
-    Modulus,
-)
+from .core import MatP, Modulus, int_rows, is_prime
 from .errors import BudgetExceeded, ClosureBudgetExceeded, InvariantViolation, PadicLieError
 from .lattice import LieLattice, lattice_level
 from .reports import REPORT_SCHEMA, Report, merge_reports
@@ -34,8 +28,7 @@ EXIT_BUDGET = 3
 
 
 def _parse_matrix(text: str, modulus: Modulus) -> MatP:
-    rows = json.loads(text)
-    return MatP.of(rows, modulus)
+    return MatP.of(int_rows(json.loads(text)), modulus)
 
 
 def _emit(report: Report, args) -> None:
@@ -221,6 +214,13 @@ def _cmd_cdelta(args) -> int:
     start = time.perf_counter()
     if args.decay_table:
         primes = [int(t) for t in args.primes.split(",")]
+        not_prime = [p for p in primes if not is_prime(p)]
+        if not_prime:
+            print(f"config error: --primes entries {not_prime} are not prime", file=sys.stderr)
+            return EXIT_CONFIG
+        if args.nmax < 1:
+            print(f"config error: --nmax {args.nmax} must be >= 1", file=sys.stderr)
+            return EXIT_CONFIG
         for p in primes:
             for n in range(1, args.nmax + 1):
                 res = c_delta(gamma, Gamma0Spec(p**n))

@@ -25,6 +25,7 @@ from .errors import (
     ModulusMismatch,
     NonUnit,
     PrecisionExceeded,
+    PreconditionViolation,
 )
 
 #: Matrix size.  The artifact is about SL(2) throughout; the ambient Lie
@@ -42,6 +43,19 @@ def _is_int(x) -> bool:
     """An int that is not a bool: floats, strings and booleans are refused
     wherever an exact integer is required."""
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def int_rows(rows) -> Mat2:
+    """A 2x2 literal of ints (not bools) as tuples; a float, a string, a
+    boolean or any other shape is refused, never truncated."""
+    if not (
+        isinstance(rows, (list, tuple))
+        and len(rows) == 2
+        and all(isinstance(row, (list, tuple)) and len(row) == 2 for row in rows)
+        and all(_is_int(a) for row in rows for a in row)
+    ):
+        raise PreconditionViolation(f"{rows!r} is not a 2x2 matrix of integers")
+    return tuple(tuple(row) for row in rows)
 
 
 def is_prime(m: int) -> bool:
@@ -150,17 +164,17 @@ def residue_rows_from_json(rows, modulus: Modulus, kind: str) -> tuple[tuple[int
 
 @dataclass(frozen=True)
 class MatP:
-    """A square matrix over Z/p^N with all entries at one shared modulus."""
+    """A 2x2 matrix over Z/p^N with all entries at one shared modulus."""
 
     rows: tuple[tuple[int, ...], ...]
     modulus: Modulus
 
     def __post_init__(self):
-        n = len(self.rows)
+        rows = self.rows
         pN = self.modulus.pN
-        for row in self.rows:
-            if len(row) != n:
-                raise ValueError("matrix must be square")
+        if len(rows) != 2 or len(rows[0]) != 2 or len(rows[1]) != 2:
+            raise ValueError("matrix must be 2x2")
+        for row in rows:
             for a in row:
                 if not 0 <= a < pN:
                     raise ValueError(f"entry {a} outside [0, {pN})")
@@ -173,12 +187,12 @@ class MatP:
         return cls(tuple(tuple(a % pN for a in row) for row in rows), modulus)
 
     @classmethod
-    def identity(cls, modulus: Modulus, size: int = N0) -> "MatP":
-        return cls.of([[1 if i == j else 0 for j in range(size)] for i in range(size)], modulus)
+    def identity(cls, modulus: Modulus) -> "MatP":
+        return cls(((1, 0), (0, 1)), modulus)
 
     @classmethod
-    def zero(cls, modulus: Modulus, size: int = N0) -> "MatP":
-        return cls.of([[0] * size for _ in range(size)], modulus)
+    def zero(cls, modulus: Modulus) -> "MatP":
+        return cls(((0, 0), (0, 0)), modulus)
 
     @classmethod
     def from_json(cls, obj: dict) -> "MatP":
@@ -199,18 +213,12 @@ class MatP:
 
     # -- structure --------------------------------------------------------
 
-    @property
-    def size(self) -> int:
-        return len(self.rows)
-
     def as_tuple(self) -> tuple[int, ...]:
         return tuple(a for row in self.rows for a in row)
 
     def _check(self, other: "MatP") -> None:
         if self.modulus != other.modulus:
             raise ModulusMismatch(f"{self.modulus} vs {other.modulus}")
-        if self.size != other.size:
-            raise ValueError("size mismatch")
 
     # -- arithmetic -------------------------------------------------------
 
@@ -243,22 +251,15 @@ class MatP:
     def __matmul__(self, other: "MatP") -> "MatP":
         self._check(other)
         pN = self.modulus.pN
-        n = self.size
-        if n == 2:
-            (a, b), (c, d) = self.rows
-            (e, f), (g, h) = other.rows
-            return MatP(
-                (
-                    ((a * e + b * g) % pN, (a * f + b * h) % pN),
-                    ((c * e + d * g) % pN, (c * f + d * h) % pN),
-                ),
-                self.modulus,
-            )
-        rows = tuple(
-            tuple(sum(self.rows[i][k] * other.rows[k][j] for k in range(n)) % pN for j in range(n))
-            for i in range(n)
+        (a, b), (c, d) = self.rows
+        (e, f), (g, h) = other.rows
+        return MatP(
+            (
+                ((a * e + b * g) % pN, (a * f + b * h) % pN),
+                ((c * e + d * g) % pN, (c * f + d * h) % pN),
+            ),
+            self.modulus,
         )
-        return MatP(rows, self.modulus)
 
     def scale(self, t: int) -> "MatP":
         pN = self.modulus.pN
@@ -267,7 +268,7 @@ class MatP:
     def power(self, k: int) -> "MatP":
         if k < 0:
             return mat_inverse(self).power(-k)
-        result = MatP.identity(self.modulus, self.size)
+        result = MatP.identity(self.modulus)
         base = self
         while k:
             if k & 1:
@@ -277,13 +278,11 @@ class MatP:
         return result
 
     def trace(self) -> int:
-        return sum(self.rows[i][i] for i in range(self.size)) % self.modulus.pN
+        return (self.rows[0][0] + self.rows[1][1]) % self.modulus.pN
 
     def det(self) -> int:
-        if self.size == 2:
-            (a, b), (c, d) = self.rows
-            return (a * d - b * c) % self.modulus.pN
-        raise NotImplementedError("determinant only needed for 2x2 here")
+        (a, b), (c, d) = self.rows
+        return (a * d - b * c) % self.modulus.pN
 
     def reduce(self, m: int) -> "MatP":
         """The image modulo p^m, as a matrix at the smaller modulus."""
@@ -292,7 +291,7 @@ class MatP:
         return MatP(tuple(tuple(a % q for a in row) for row in self.rows), sub)
 
     def is_identity(self) -> bool:
-        return self == MatP.identity(self.modulus, self.size)
+        return self == MatP.identity(self.modulus)
 
 
 def mat_inverse(g: MatP) -> MatP:
@@ -394,6 +393,13 @@ def mul_columns(x, y, q):
         (c * e + d * g) % q,
         (c * f + d * h) % q,
     )
+
+
+def inverse_columns(k, q):
+    """Inverse of determinant-one element columns k (or a tuple) with entries
+    in [0, q): the adjugate [[d, -b], [-c, a]]."""
+    a, b, c, d = k
+    return (d, -b % q, -c % q, a)
 
 
 def in_principal_congruence_columns(cols, q_m: int) -> np.ndarray:

@@ -11,8 +11,6 @@ from math import prod
 
 import numpy as np
 
-from .core import is_prime
-
 
 def _prime_power_sl2_columns(p: int, q: int) -> tuple[np.ndarray, ...]:
     """Entry columns (a, b, c, d) of all of SL(2, Z/q), q = p^n.
@@ -45,24 +43,27 @@ def _prime_power_sl2_columns(p: int, q: int) -> tuple[np.ndarray, ...]:
 def sl2_columns(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Entry columns of all of SL(2, Z/q) for arbitrary q >= 2, assembled by
     the Chinese remainder theorem across the prime-power parts."""
-    factors = _factorize(q)
-    parts = []
-    for p, e in factors:
-        parts.append((p**e, _prime_power_sl2_columns(p, p**e)))
-    a, b, c, d = parts[0][1]
-    modulus = parts[0][0]
-    for q2, (a2, b2, c2, d2) in parts[1:]:
-        m1, m2 = modulus, q2
+    return crt_product([(p**e, _prime_power_sl2_columns(p, p**e)) for p, e in _factorize(q)])
+
+
+def crt_product(parts) -> tuple[np.ndarray, ...]:
+    """Columns over Z/(q_1 q_2 ...) from pairwise coprime parts (q_i, columns
+    over Z/q_i): every choice of one point per part, by the Chinese remainder
+    theorem, with the first part's index varying slowest.  One part is
+    returned untouched."""
+    (m1, cols), *rest = parts
+    for m2, cols2 in rest:
         u = pow(m1, -1, m2)
+        n1, n2 = len(cols[0]), len(cols2[0])
+
         # x = x1 + m1 * u * (x2 - x1) mod m1*m2
         def crt(x1, x2):
-            x1g = np.repeat(x1, len(x2))
-            x2g = np.tile(x2, len(x1))
-            return (x1g + m1 * ((u * (x2g - x1g)) % m2)) % (m1 * m2)
+            x1, x2 = np.repeat(x1, n2), np.tile(x2, n1)
+            return (x1 + m1 * ((u * (x2 - x1)) % m2)) % (m1 * m2)
 
-        a, b, c, d = crt(a, a2), crt(b, b2), crt(c, c2), crt(d, d2)
-        modulus *= q2
-    return a, b, c, d
+        cols = tuple(crt(x1, x2) for x1, x2 in zip(cols, cols2))
+        m1 *= m2
+    return cols
 
 
 def _factorize(q: int) -> list[tuple[int, int]]:

@@ -137,8 +137,6 @@ def _log_working_precision(p: int, N: int, cutoff: int) -> int:
 def _exp_series(x: MatP, cutoff: int) -> MatP:
     """1 + x + x^2/2! + ... on a 2x2 matrix, exact mod p^N on domain."""
     p, N = x.modulus.p, x.modulus.N
-    if x.size != 2:
-        raise PrecisionExceeded("series are specialized to 2x2 matrices")
     W = N + vp_factorial(cutoff - 1, p)
     pW = p**W
     table = _division_table(p, W, cutoff)
@@ -169,8 +167,6 @@ def _exp_series(x: MatP, cutoff: int) -> MatP:
 def _log_series(g: MatP, cutoff: int) -> MatP:
     """(g-1) - (g-1)^2/2 + ... on a 2x2 matrix, exact mod p^N on domain."""
     p, N = g.modulus.p, g.modulus.N
-    if g.size != 2:
-        raise PrecisionExceeded("series are specialized to 2x2 matrices")
     W = _log_working_precision(p, N, cutoff)
     pW = p**W
     table = _division_table(p, W, cutoff)
@@ -367,8 +363,8 @@ def exp_trunc(xbar: MatP) -> MatP:
     if not residually_nilpotent(xbar):
         raise DomainViolation("truncated exp needs a nilpotent input")
     p = modulus.p
-    acc = MatP.identity(modulus, xbar.size)
-    power = MatP.identity(modulus, xbar.size)
+    acc = MatP.identity(modulus)
+    power = MatP.identity(modulus)
     fact_inv = 1
     for i in range(1, p):
         power = power @ xbar
@@ -387,9 +383,9 @@ def log_trunc(gbar: MatP) -> MatP:
     if not residually_unipotent(gbar):
         raise DomainViolation("truncated log needs a unipotent input")
     p = modulus.p
-    y = gbar - MatP.identity(modulus, gbar.size)
-    acc = MatP.zero(modulus, gbar.size)
-    power = MatP.identity(modulus, gbar.size)
+    y = gbar - MatP.identity(modulus)
+    acc = MatP.zero(modulus)
+    power = MatP.identity(modulus)
     for i in range(1, p):
         power = power @ y
         if all(a == 0 for row in power.rows for a in row):

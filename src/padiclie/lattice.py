@@ -540,17 +540,22 @@ def vec_to_mat_columns(v, q: int) -> tuple[np.ndarray, ...]:
     return (y % q, x % q, z % q, -y % q)
 
 
+def bracket_witness(lat: LieLattice, m: int) -> tuple[Vec, Vec] | None:
+    """A pair of generators of L whose bracket lies outside L + p^m sl2,
+    or None when there is none."""
+    gens, q = lat.generators, lat.modulus.pN
+    for i in range(len(gens)):
+        for j in range(i + 1, len(gens)):
+            if not membership_mod(lat, bracket(gens[i], gens[j], q), m):
+                return gens[i], gens[j]
+    return None
+
+
 def is_subalgebra_mod(lat: LieLattice, nu: int) -> bool:
     """Whether all pairwise generator brackets lie in L + p^nu * sl2."""
     if not 0 <= nu <= lat.modulus.N - 1:
         raise PrecisionExceeded(f"nu = {nu} outside [0, {lat.modulus.N - 1}]")
-    gens = lat.generators
-    q = lat.modulus.pN
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            if not membership_mod(lat, bracket(gens[i], gens[j], q), nu):
-                return False
-    return True
+    return bracket_witness(lat, nu) is None
 
 
 _check_structure_constants()

@@ -48,6 +48,7 @@ from .core import (
     element_codes,
     group_level,
     in_principal_congruence_columns,
+    inverse_columns,
     mat_inverse,
     mul_columns,
     residually_unipotent_columns,
@@ -64,11 +65,10 @@ from .explog import exp_extended_columns, log_extended_columns
 from .lattice import (
     LieLattice,
     Vec,
-    bracket,
+    bracket_witness,
     combination_columns,
     lattice_level,
     mat_to_vec_columns,
-    membership_mod,
     membership_mod_columns,
     vec_to_mat_columns,
 )
@@ -115,17 +115,6 @@ class FpSubgroup:
         return tuple(self.closure.iter_tuples())
 
 
-def _bracket_witness(L: LieLattice, m: int) -> tuple[Vec, Vec] | None:
-    """A pair of generators of L whose bracket lies outside L + p^m sl2,
-    or None when there is none."""
-    gens, q = L.generators, L.modulus.pN
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            if not membership_mod(L, bracket(gens[i], gens[j], q), m):
-                return gens[i], gens[j]
-    return None
-
-
 def _unipotent_columns(H: FpSubgroup) -> tuple[np.ndarray, ...]:
     """The entry columns of {x in H : (x - 1)^2 = 0 over F_p}, in code
     order; the set equals {x : x^p = 1} on SL(2)."""
@@ -163,7 +152,7 @@ def liec_bar(H: FpSubgroup) -> LieLattice:
     a recorded anomaly rather than passing silently.
     """
     L = liec_padic(H.closure)
-    if _bracket_witness(L, 1) is not None:
+    if bracket_witness(L, 1) is not None:
         raise BracketClosureAnomaly(
             "span of logarithms is not bracket-closed", p=H.p, witness=H.canonical()
         )
@@ -289,9 +278,8 @@ def _conjugator(H0: FpSubgroup, H: FpSubgroup, sl2: tuple[np.ndarray, ...]) -> M
     H0 and H have equal order, so x H0 x^-1 inside H, tested on the
     generators of H0, is equality."""
     p = H.p
-    a, b, c, d = sl2
-    inverse = (d, -b % p, -c % p, a)
-    hit = np.ones(len(a), dtype=bool)
+    inverse = inverse_columns(sl2, p)
+    hit = np.ones(len(sl2[0]), dtype=bool)
     for g in H0.closure.generators:
         conjugates = mul_columns(mul_columns(sl2, g.as_tuple(), p), inverse, p)
         hit &= H.closure.contains_columns(*conjugates)
@@ -356,7 +344,7 @@ def enumerate_nilpotently_generated(p: int) -> list[LieLattice]:
             nilpotent = (y * y + x * z) % p == 0  # det of [[y, x], [z, -y]] is 0
             for i in np.flatnonzero(nilpotent.sum(axis=1) >= 1 + k * (p - 1)):
                 L = LieLattice.from_columns(block[i], modulus)
-                if _bracket_witness(L, 1) is not None:
+                if bracket_witness(L, 1) is not None:
                     continue
                 if LieLattice.from_columns(points[i][nilpotent[i]].tolist(), modulus) == L:
                     out.append(L)
@@ -425,7 +413,7 @@ def liec_padic(
         lattice = LieLattice.from_columns(span_cols, modulus)
         rest = rest[1:]
         rest = rest[~membership_mod_columns(lattice, tuple(x[rest] for x in v), modulus.N)]
-    witness = _bracket_witness(lattice, modulus.N - 1)
+    witness = bracket_witness(lattice, modulus.N - 1)
     if witness is not None:
         raise BracketClosureAnomaly(
             "logarithm span is not bracket-closed at precision N - 1",

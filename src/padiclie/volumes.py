@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -19,12 +19,17 @@ from .core import (
     MatP,
     Modulus,
     Valuation,
+    as_columns,
+    in_principal_congruence_columns,
+    int_rows,
     int_valuation,
+    inverse_columns,
     mat_inverse,
+    mul_columns,
 )
-from .enumeration import _factorize, sl2_columns, sl2_point_count
+from .enumeration import _factorize, crt_product, sl2_columns, sl2_point_count
 from .errors import BudgetExceeded, InvariantViolation, ModulusMismatch, PreconditionViolation
-from .lattice import BASIS, adjoint_matrix
+from .lattice import adjoint_matrix
 
 # ---------------------------------------------------------------------------
 # lambda_p: the depth to which Ad(x) - 1 vanishes
@@ -76,26 +81,11 @@ def phi_brute(
     the normalized volume is unaffected.
     """
     q = x.modulus.pN
-    a, b, c, d = _group_columns(q, cap)
-    (xa, xb), (xc, xd) = x.rows
-    xinv = mat_inverse(x)
-    (ya, yb), (yc, yd) = xinv.rows
-    # k x k^{-1} x^{-1}: first k x, then times k^{-1} = adj(k), then times x^{-1}
-    # k^{-1} for det 1 is [[d, -b], [-c, a]]
-    m11 = (a * xa + b * xc) % q
-    m12 = (a * xb + b * xd) % q
-    m21 = (c * xa + d * xc) % q
-    m22 = (c * xb + d * xd) % q
-    n11 = (m11 * d - m12 * c) % q
-    n12 = (-m11 * b + m12 * a) % q
-    n21 = (m21 * d - m22 * c) % q
-    n22 = (-m21 * b + m22 * a) % q
-    r11 = (n11 * ya + n12 * yc) % q
-    r12 = (n11 * yb + n12 * yd) % q
-    r21 = (n21 * ya + n22 * yc) % q
-    r22 = (n21 * yb + n22 * yd) % q
-    inside = K(r11, r12, r21, r22, q)
-    return Fraction(int(inside.sum()), len(a))
+    k = _group_columns(q, cap)
+    # k x k^{-1} x^{-1}
+    kxk = mul_columns(mul_columns(k, x.as_tuple(), q), inverse_columns(k, q), q)
+    inside = K(*mul_columns(kxk, mat_inverse(x).as_tuple(), q), q)
+    return Fraction(int(inside.sum()), len(k[0]))
 
 
 def predicate_full(a, b, c, d, q):
@@ -111,8 +101,7 @@ def predicate_principal(m: int):
     """Image of the principal congruence subgroup of exponent m."""
 
     def inner(a, b, c, d, q):
-        pm = _exponent_to_modulus(q, m)
-        return ((a - 1) % pm == 0) & (b % pm == 0) & (c % pm == 0) & ((d - 1) % pm == 0)
+        return in_principal_congruence_columns((a, b, c, d), _exponent_to_modulus(q, m))
 
     return inner
 
@@ -122,8 +111,8 @@ def _exponent_to_modulus(q: int, m: int) -> int:
     if len(factors) != 1:
         raise PreconditionViolation("principal predicate needs a prime-power modulus")
     p, n = factors[0]
-    if m > n:
-        raise PreconditionViolation(f"exponent {m} exceeds n = {n}")
+    if not 0 <= m <= n:
+        raise PreconditionViolation(f"exponent {m} outside [0, n = {n}]")
     return p**m
 
 
@@ -140,37 +129,43 @@ def predicate_closure(closure) -> Callable:
 
 
 # ---------------------------------------------------------------------------
-# The projective line over Z/p^n and fixed points
+# The projective line over Z/M and fixed points
 # ---------------------------------------------------------------------------
 
 
-def projective_line(p: int, n: int) -> list[tuple[int, int]]:
-    """Canonical representatives of P^1(Z/p^n): [1 : y] and [p t : 1]."""
-    q = p**n
-    pts = [(1, y) for y in range(q)]
-    pts.extend((p * t, 1) for t in range(p ** (n - 1)))
-    return pts
+def projective_line(M: int) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical representatives of P^1(Z/M) as columns (X, Y): over each
+    prime power q = p^e the points [1 : y], then [p t : 1], assembled by
+    the Chinese remainder theorem."""
+    parts = []
+    for p, e in _factorize(M):
+        q = p**e
+        X = np.concatenate([np.ones(q, dtype=np.int64), p * np.arange(q // p, dtype=np.int64)])
+        Y = np.concatenate([np.arange(q, dtype=np.int64), np.ones(q // p, dtype=np.int64)])
+        parts.append((q, (X, Y)))
+    return crt_product(parts)
 
 
 def projective_line_size(p: int, n: int) -> int:
     return p**n + p ** (n - 1)
 
 
+def _fixed_on_P1(g: Sequence[int], M: int) -> np.ndarray:
+    """The mask over ``projective_line(M)`` of the points fixed by the
+    Moebius action [X : Y] -> [a X + b Y : c X + d Y] of g = (a, b, c, d).
+    A primitive pair is fixed exactly when the cross product
+    (a X + b Y) Y - (c X + d Y) X vanishes mod M; with g reduced mod M it
+    stays below 2 M^3 in absolute value."""
+    X, Y = as_columns(projective_line(M), 2 * M**3)
+    a, b, c, d = (v % M for v in g)
+    return ((a * X + b * Y) * Y - (c * X + d * Y) * X) % M == 0
+
+
 def fixed_points_P1(x: MatP, p: int, n: int) -> int:
-    """Exact count of points of P^1(Z/p^n) fixed by the Moebius action:
-    [X : Y] -> [a X + b Y : c X + d Y].  A primitive pair is fixed exactly
-    when the cross product (a X + b Y) Y - (c X + d Y) X vanishes mod p^n."""
-    if n > x.modulus.N or x.modulus.p != p:
+    """Exact count of points of P^1(Z/p^n) fixed by the Moebius action of x."""
+    if not 1 <= n <= x.modulus.N or x.modulus.p != p:
         raise PreconditionViolation("matrix modulus does not cover (p, n)")
-    q = p**n
-    (a, b), (c, d) = x.reduce(n).rows if x.modulus.N != n else x.rows
-    count = 0
-    for X, Y in projective_line(p, n):
-        u = (a * X + b * Y) % q
-        v = (c * X + d * Y) % q
-        if (u * Y - v * X) % q == 0:
-            count += 1
-    return count
+    return int(np.count_nonzero(_fixed_on_P1(x.as_tuple(), p**n)))
 
 
 def phi_gamma0(x: MatP, n: int) -> Fraction:
@@ -229,27 +224,6 @@ class GammaFullSpec:
     M: int
 
 
-def _projective_line_composite(M: int) -> list[tuple[int, int]]:
-    """Canonical representatives of P^1(Z/M) assembled by CRT from the
-    prime-power lines."""
-    parts = []
-    for p, e in _factorize(M):
-        parts.append((p**e, projective_line(p, e)))
-    pts = [(x % parts[0][0], y % parts[0][0]) for x, y in parts[0][1]]
-    modulus = parts[0][0]
-    for q2, pts2 in parts[1:]:
-        u = pow(modulus, -1, q2)
-        combined = []
-        for x1, y1 in pts:
-            for x2, y2 in pts2:
-                x = (x1 + modulus * ((u * (x2 - x1)) % q2)) % (modulus * q2)
-                y = (y1 + modulus * ((u * (y2 - y1)) % q2)) % (modulus * q2)
-                combined.append((x, y))
-        pts = combined
-        modulus *= q2
-    return pts
-
-
 def projective_line_size_composite(M: int) -> int:
     return M * prod(p + 1 for p, _ in _factorize(M)) // prod(p for p, _ in _factorize(M))
 
@@ -274,38 +248,28 @@ def c_delta(gamma: Sequence[Sequence[int]], spec: Gamma0Spec | GammaFullSpec,
     ratio; for the principal type the cosets are all of SL(2, Z/M) and the
     count is found by exhaustive conjugation scan.
     """
-    (ga, gb), (gc, gd) = (tuple(gamma[0]), tuple(gamma[1]))
+    (ga, gb), (gc, gd) = int_rows(gamma)
     if ga * gd - gb * gc != 1:
         raise PreconditionViolation("gamma must have determinant one")
     M = spec.M
     if M < 2:
         raise PreconditionViolation("level M must be >= 2")
+    g = (ga % M, gb % M, gc % M, gd % M)
     if isinstance(spec, Gamma0Spec):
         if M > 500:
             raise BudgetExceeded("lower-left type budgeted for M <= 500")
-        pts = _projective_line_composite(M)
-        index = len(pts)
-        formula = projective_line_size_composite(M)
+        fixed = _fixed_on_P1(g, M)
+        index = len(fixed)
         order_ratio = sl2_point_count(M) // _borel_order(M)
-        if index != formula or index != order_ratio:
+        if index != projective_line_size_composite(M) or index != order_ratio:
             raise InvariantViolation("index formula, enumeration and order ratio disagree")
-        count = 0
-        for X, Y in pts:
-            u = (ga * X + gb * Y) % M
-            v = (gc * X + gd * Y) % M
-            if (u * Y - v * X) % M == 0:
-                count += 1
-        return CosetFixedPoints(count, index)
+        return CosetFixedPoints(int(np.count_nonzero(fixed)), index)
     if M > 50:
         raise BudgetExceeded("principal type budgeted for M <= 50")
-    a, b, c, d = _group_columns(M, cap)
+    k = _group_columns(M, cap)
     # delta^{-1} gamma delta = 1 demands gamma delta = delta
-    m11 = (ga * a + gb * c) % M
-    m12 = (ga * b + gb * d) % M
-    m21 = (gc * a + gd * c) % M
-    m22 = (gc * b + gd * d) % M
-    fixed = (m11 == a) & (m12 == b) & (m21 == c) & (m22 == d)
-    return CosetFixedPoints(int(fixed.sum()), len(a))
+    fixed = np.logical_and.reduce([u == v for u, v in zip(mul_columns(g, k, M), k)])
+    return CosetFixedPoints(int(np.count_nonzero(fixed)), len(k[0]))
 
 
 def _borel_order(M: int) -> int:
@@ -392,19 +356,11 @@ def unipotent_orbital_volume(
     at one group sweep.
     """
     q = modulus.pN
-    a, b, c, d = _group_columns(q, cap)
+    k = _group_columns(q, cap)
+    k_inv = inverse_columns(k, q)
     total_pairs = 0
     for t in range(q):
-        # k^{-1} u k with u = [[1, t], [0, 1]] and k^{-1} = [[d, -b], [-c, a]]:
-        # k^{-1} u = [[d, d t - b], [-c, a - c t]]
-        n11 = d % q
-        n12 = (d * t - b) % q
-        n21 = (-c) % q
-        n22 = (a - c * t) % q
-        r11 = (n11 * a + n12 * c) % q
-        r12 = (n11 * b + n12 * d) % q
-        r21 = (n21 * a + n22 * c) % q
-        r22 = (n21 * b + n22 * d) % q
-        inside = K(r11, r12, r21, r22, q)
+        # k^{-1} u k with u = [[1, t], [0, 1]]
+        inside = K(*mul_columns(mul_columns(k_inv, (1, t, 0, 1), q), k, q), q)
         total_pairs += int(inside.sum())
-    return Fraction(total_pairs, q * len(a))
+    return Fraction(total_pairs, q * len(k[0]))

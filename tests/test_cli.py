@@ -185,6 +185,52 @@ def test_nori_command_digests(capsys, p, digest):
     assert code == 0 and rep["digest"] == digest
 
 
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        ("phi --p 3 --n 2 --K gamma0 --x [[1,1],[0,1]]",
+         "fe170011bb716cd6bf8dc7f3381a0996eb5d4ee37edfb2c96a1ee5ff35f7f2cc"),
+        ("phi --p 5 --n 2 --K principal:1 --x [[2,1],[1,1]]",
+         "9994d730242dc75673d4a03583748b6f150933249d7261875baadd0164890ee1"),
+        ("cdelta --gamma [[1,1],[0,1]] --decay-table",
+         "c098aa4d89cb5fc5a22ce61c91b070ab14708c8c5afcb08d7ff1cfc8bd71735d"),
+        ("cdelta --gamma [[2,1],[1,1]] --full-level 12",
+         "1dd8510d18024b15d893e2566cbe2294f99b729d5250242a8ccb751cad065f13"),
+        ("cdelta --gamma [[2,1],[1,1]] --gamma0 360",
+         "db97eb14fa7428ac68e36ac0a3bf8811f563651145c1e5f1aac2b28384568200"),
+    ],
+)
+def test_volume_command_digests(capsys, argv, digest):
+    code, rep = _run(capsys, argv.split())
+    assert code == 0 and rep["digest"] == digest
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "phi --p 3 --n 2 --K gamma0 --x [[1.5,1],[0,1]]",
+        "phi --p 3 --n 2 --K gamma0 --x [[true,1],[0,1]]",
+        "phi --p 3 --n 2 --K gamma0 --x [[1,0,0],[0,1,0],[0,0,1]]",
+        "phi --p 3 --n 2 --K gamma0 --x [1,1,0,1]",
+        "cdelta --gamma [[1.0,0],[0,1.0]] --gamma0 9",
+        "cdelta --gamma [[true,0],[0,true]] --gamma0 9",
+        "cdelta --gamma [[true,0],[0,true]] --full-level 5",
+        "phi --p 3 --n 2 --K principal:-1 --x [[1,1],[0,1]]",
+        "phi --p 3 --n 2 --K principal:3 --x [[1,1],[0,1]]",
+    ],
+)
+def test_volume_commands_reject_bad_literals(capsys, argv):
+    assert main(argv.split()) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option", ["--primes=4", "--primes=3,4", "--primes=1", "--primes=-3", "--nmax=0"])
+def test_cdelta_decay_table_rejects_bad_ranges(capsys, option):
+    assert main(["cdelta", "--gamma", "[[1,1],[0,1]]", "--decay-table", option]) == 2
+    captured = capsys.readouterr()
+    assert "config error" in captured.err and captured.out == ""
+
+
 @pytest.mark.parametrize("p", ["4", "-5", "9", "3"])
 def test_nori_rejects_non_prime_or_small_p(capsys, p):
     assert main(["nori", f"--p={p}"]) == 2

@@ -25,6 +25,8 @@ from padiclie.core import (
     _enumerate_reduction_kernel,
     int_valuation,
     in_principal_congruence_columns,
+    inverse_columns,
+    mul_columns,
     random_congruence_element,
     random_sl2,
     reduction_kernel_generators,
@@ -391,3 +393,43 @@ def test_matrix_json_literals():
     for obj in ([3, 2], {"N": 2, "mat": [[1, 0], [0, 1]]}):
         with pytest.raises(ValueError):
             MatP.from_json(obj)
+
+
+def test_matp_is_2x2_only():
+    m = Modulus(3, 2)
+    bad = ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1]], [[1, 0], [0, 1], [0, 0]], [[1, 0, 0], [0, 1]])
+    for rows in bad:
+        with pytest.raises(ValueError):
+            MatP.of(rows, m)
+        with pytest.raises(ValueError):
+            MatP.from_json({"p": 3, "N": 2, "mat": rows})
+    assert MatP.identity(m).rows == ((1, 0), (0, 1))
+    assert MatP.zero(m).rows == ((0, 0), (0, 0))
+
+
+def test_inverse_columns_inverts_every_element():
+    from padiclie.enumeration import sl2_columns
+
+    for q in (5, 9, 12):
+        k = sl2_columns(q)
+        k_inv = inverse_columns(k, q)
+        for product in (mul_columns(k, k_inv, q), mul_columns(k_inv, k, q)):
+            assert [x.tolist() for x in product] == [[v] * len(k[0]) for v in (1, 0, 0, 1)]
+    m = Modulus(7, 2)
+    g = random_sl2(random.Random(4), m)
+    assert inverse_columns(g.as_tuple(), m.pN) == mat_inverse(g).as_tuple()
+
+
+def test_crt_product_order_and_single_part():
+    from padiclie.enumeration import crt_product, sl2_columns
+
+    cols = sl2_columns(7)
+    assert crt_product([(7, cols)]) is cols
+    first, second = [(1, 0), (3, 2)], [(2, 1), (5, 1), (7, 0)]
+    x, y = crt_product([(4, tuple(np.array(c) for c in zip(*first))),
+                        (9, tuple(np.array(c) for c in zip(*second)))])
+    # every pair of points, the first part's index varying slowest
+    assert [((v % 4, w % 4), (v % 9, w % 9)) for v, w in zip(x.tolist(), y.tolist())] == [
+        (P1, P2) for P1 in first for P2 in second
+    ]
+    assert 0 <= min(x.min(), y.min()) and max(x.max(), y.max()) < 36

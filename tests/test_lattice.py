@@ -19,6 +19,7 @@ from padiclie import (
 from padiclie.errors import PrecisionExceeded, PrecisionExhausted
 from padiclie.lattice import (
     BASIS,
+    bracket_witness,
     mat_to_vec,
     membership_mod_columns,
     vec_add,
@@ -178,6 +179,15 @@ def test_subalgebra_mod_examples():
     family = LieLattice.from_columns([(0, 1, 0), (9, 0, 0), (0, 0, 27)], m)
     for nu in range(m.N):
         assert is_subalgebra_mod(family, nu)
+
+
+def test_bracket_witness_names_a_failing_pair():
+    m = Modulus(3, 5)
+    borel = LieLattice.from_columns([(0, 1, 0), (1, 0, 0)], m)
+    assert bracket_witness(borel, m.N - 1) is None
+    ef = LieLattice.from_columns([(1, 0, 0), (0, 0, 1)], m)
+    x, y = bracket_witness(ef, 1)
+    assert not membership_mod(ef, bracket(x, y, m.pN), 1)
 
 
 def test_subalgebra_mod_monotone_in_nu():

@@ -1,5 +1,7 @@
+import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -20,14 +22,13 @@ from padiclie import (
     unipotent_orbital_volume,
 )
 from padiclie.core import random_sl2, mat_inverse
-from padiclie.enumeration import sl2_columns, sl2_point_count
+from padiclie.enumeration import _factorize, sl2_columns, sl2_point_count
 from padiclie.errors import BudgetExceeded, PreconditionViolation
 from padiclie.volumes import (
     predicate_closure,
     predicate_full,
     predicate_gamma0,
     predicate_principal,
-    projective_line,
     projective_line_size,
 )
 
@@ -252,3 +253,139 @@ def test_phi_conjugation_covariance():
         lhs = phi_brute(moved, g @ x @ mat_inverse(g))
         rhs = phi_brute(closure, x)
         assert lhs == rhs
+
+
+def _projective_line_python(M):
+    """Canonical points of P^1(Z/M) as a list: [1 : y] and [p t : 1] over
+    each prime power, combined pairwise by the Chinese remainder theorem."""
+    pts, modulus = [(0, 0)], 1
+    for p, e in _factorize(M):
+        q = p**e
+        local = [(1, y) for y in range(q)] + [(p * t, 1) for t in range(q // p)]
+        u = pow(modulus, -1, q)
+        pts = [
+            tuple((x1 + modulus * ((u * (x2 - x1)) % q)) % (modulus * q) for x1, x2 in zip(P1, P2))
+            for P1 in pts
+            for P2 in local
+        ]
+        modulus *= q
+    return pts
+
+
+def _fixed_points_python(g, M):
+    """The per-point loop: [X : Y] is fixed by g = (a, b, c, d) when the
+    cross product (a X + b Y) Y - (c X + d Y) X vanishes mod M."""
+    a, b, c, d = g
+    count = 0
+    for X, Y in _projective_line_python(M):
+        u = (a * X + b * Y) % M
+        v = (c * X + d * Y) % M
+        if (u * Y - v * X) % M == 0:
+            count += 1
+    return count
+
+
+def _fixed_points_by_pairs(g, M):
+    """Independent count: fixed primitive pairs (X, Y) mod M, one unit orbit
+    of phi(M) pairs per point."""
+    a, b, c, d = g
+    units = sum(1 for t in range(M) if gcd(t, M) == 1)
+    fixed = sum(
+        1
+        for X in range(M)
+        for Y in range(M)
+        if gcd(gcd(X, Y), M) == 1 and ((a * X + b * Y) * Y - (c * X + d * Y) * X) % M == 0
+    )
+    assert fixed % units == 0
+    return fixed // units
+
+
+def _seeded_gammas(rng, count):
+    """Integer matrices of determinant one: products of seeded elementary
+    matrices, with the identity, a unipotent and the rotation S."""
+    out = [[[1, 0], [0, 1]], [[1, 1], [0, 1]], [[0, -1], [1, 0]]]
+    while len(out) < count:
+        a, b, c, d = 1, 0, 0, 1
+        for _ in range(4):
+            t = rng.randrange(-6, 7)
+            if rng.random() < 0.5:
+                a, b = a + t * c, b + t * d
+            else:
+                c, d = c + t * a, d + t * b
+        out.append([[a, b], [c, d]])
+    return out
+
+
+def test_projective_line_columns_match_python_points():
+    for M in list(range(2, 61)) + [360]:
+        X, Y = volumes.projective_line(M)
+        assert list(zip(X.tolist(), Y.tolist())) == _projective_line_python(M)
+        assert len(X) == volumes.projective_line_size_composite(M)
+
+
+def test_fixed_point_count_matches_per_point_loop():
+    rng = random.Random(31)
+    gammas = _seeded_gammas(rng, 6)
+    for M in list(range(2, 121)) + [125, 243, 360, 500]:
+        for gamma in gammas:
+            g = [x for row in gamma for x in row]
+            expected = _fixed_points_python(g, M)
+            assert c_delta(gamma, Gamma0Spec(M)).count == expected, (gamma, M)
+            if M <= 40:
+                assert _fixed_points_by_pairs(g, M) == expected
+
+
+@pytest.mark.parametrize("p, nmax", [(3, 5), (5, 3), (7, 3)])
+def test_fixed_points_P1_matches_per_point_loop(p, nmax):
+    rng = random.Random(p)
+    for n in range(1, nmax + 1):
+        m = Modulus(p, n)
+        for _ in range(8):
+            x = random_sl2(rng, m)
+            assert fixed_points_P1(x, p, n) == _fixed_points_python(x.as_tuple(), p**n)
+    with pytest.raises(PreconditionViolation):
+        fixed_points_P1(MatP.identity(Modulus(p, 2)), p, 0)
+
+
+@pytest.mark.parametrize("M", [6, 12, 20])
+def test_c_delta_full_level_matches_per_element_loop(M):
+    # SL(2, Z/M) by its definition, not by the column enumerator
+    group = [
+        (a, b, c, d)
+        for a, b, c, d in itertools.product(range(M), repeat=4)
+        if (a * d - b * c) % M == 1
+    ]
+    for gamma in _seeded_gammas(random.Random(M), 5):
+        (ga, gb), (gc, gd) = gamma
+        count = 0
+        for a, b, c, d in group:
+            moved = ((ga * a + gb * c) % M, (ga * b + gb * d) % M,
+                     (gc * a + gd * c) % M, (gc * b + gd * d) % M)
+            count += moved == (a, b, c, d)
+        res = c_delta(gamma, GammaFullSpec(M))
+        assert (res.count, res.index) == (count, len(group))
+
+
+def test_c_delta_accepts_only_integer_matrices():
+    for gamma in (
+        [[1.0, 0], [0, 1.0]],
+        [[True, 0], [0, True]],
+        [[1, 0], [0, "1"]],
+        [[1, 0, 0], [0, 1, 0]],
+        [[1, 0]],
+        [1, 0, 0, 1],
+        None,
+    ):
+        for spec in (Gamma0Spec(9), GammaFullSpec(5)):
+            with pytest.raises(PreconditionViolation):
+                c_delta(gamma, spec)
+    assert c_delta(((1, 1), (0, 1)), Gamma0Spec(9)).count == 3
+
+
+def test_principal_predicate_exponent_range():
+    m = Modulus(3, 2)
+    u = MatP.of([[1, 1], [0, 1]], m)
+    assert phi_brute(predicate_principal(0), u) == 1
+    for exponent in (-1, 3):
+        with pytest.raises(PreconditionViolation):
+            phi_brute(predicate_principal(exponent), u)
