@@ -165,6 +165,7 @@ def _cmd_nori(args) -> int:
 def _cmd_phi(args) -> int:
     from .volumes import (
         fixed_points_P1,
+        gamma0_closed_form_applies,
         phi_brute,
         phi_gamma0,
         predicate_full,
@@ -191,7 +192,7 @@ def _cmd_phi(args) -> int:
 
     total = sl2_point_count(args.p**args.n)
     case = {"count": int(ratio * total), "total": total, "ratio": ratio}
-    if args.K == "gamma0":
+    if args.K == "gamma0" and gamma0_closed_form_applies(x, args.n):
         closed = phi_gamma0(x, args.n)
         fixed = fixed_points_P1(x, args.p, args.n)
         case.update(closed_form=closed, fixed_points=fixed,

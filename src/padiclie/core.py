@@ -45,6 +45,14 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _int_entry(a) -> int:
+    """A matrix entry as a Python int: an int or a numpy integer, never a
+    bool, a float or anything else."""
+    if not (_is_int(a) or isinstance(a, np.integer)):
+        raise ValueError(f"entry {a!r} is not an integer")
+    return int(a)
+
+
 def int_rows(rows) -> Mat2:
     """A 2x2 literal of ints (not bools) as tuples; a float, a string, a
     boolean or any other shape is refused, never truncated."""
@@ -164,7 +172,10 @@ def residue_rows_from_json(rows, modulus: Modulus, kind: str) -> tuple[tuple[int
 
 @dataclass(frozen=True)
 class MatP:
-    """A 2x2 matrix over Z/p^N with all entries at one shared modulus."""
+    """A 2x2 matrix over Z/p^N with all entries at one shared modulus.
+
+    Entries are ints or numpy integers, stored as Python ints, whose
+    products never wrap; a bool or a float is refused."""
 
     rows: tuple[tuple[int, ...], ...]
     modulus: Modulus
@@ -174,6 +185,10 @@ class MatP:
         pN = self.modulus.pN
         if len(rows) != 2 or len(rows[0]) != 2 or len(rows[1]) != 2:
             raise ValueError("matrix must be 2x2")
+        (a, b), (c, d) = rows
+        if not (type(a) is type(b) is type(c) is type(d) is int):
+            rows = tuple(tuple(_int_entry(a) for a in row) for row in rows)
+            object.__setattr__(self, "rows", rows)
         for row in rows:
             for a in row:
                 if not 0 <= a < pN:
@@ -184,7 +199,10 @@ class MatP:
     @classmethod
     def of(cls, rows: Sequence[Sequence[int]], modulus: Modulus) -> "MatP":
         pN = modulus.pN
-        return cls(tuple(tuple(a % pN for a in row) for row in rows), modulus)
+        return cls(
+            tuple(tuple((a if type(a) is int else _int_entry(a)) % pN for a in row) for row in rows),
+            modulus,
+        )
 
     @classmethod
     def identity(cls, modulus: Modulus) -> "MatP":
@@ -509,7 +527,9 @@ def _cosets(h, reps, q: int) -> np.ndarray:
 
 def _doubling_codes(h_codes: np.ndarray, g: MatP, q: int, cap: int) -> np.ndarray:
     """Sorted codes of <H, g> for g normalizing H (the cyclic group <g>
-    when H is trivial), by doubling.
+    when H is trivial), by doubling.  Both callers, ``SubgroupClosure._stage``
+    and the end of ``SubgroupClosure._extend``, have found g s g^-1 in H
+    for every generator s of H.
 
     Then <H, g> is the union of the cosets H.g^i for i below the least j
     with g^j in H.  The representatives R = (g^i), i < k, double as
@@ -582,12 +602,15 @@ class SubgroupClosure:
     elements of SL(2, Z/q), built by Dimino's coset enumeration (Dimino
     1971; Butler, *Fundamental Algorithms for Permutation Groups*, 1991).
 
-    The first generator's cyclic group is built by doubling; each further
+    The first generator's cyclic group is built by doubling.  A further
     generator g that is not yet a member extends the closure H to <H, g>
-    by one Dimino stage, the union of the right cosets of H.  ``extend``
-    runs that stage on a closure that already exists, so growing a
-    subgroup one generator at a time never starts over; ``extend_by_pool``
-    does so for a pool of elements given as entry columns.
+    through the normal closure of H in <H, g> (``_extend``): by doubling
+    where a new element normalizes the closure so far, by one Dimino stage
+    (the union of its right cosets) otherwise; in a group of class two,
+    such as K(p) mod p^3, every step is a doubling.  ``extend`` runs this
+    on a closure that already exists, so growing a subgroup one generator
+    at a time never starts over; ``extend_by_pool`` does so for a pool of
+    elements given as entry columns.
 
     Elements are stored as one sorted array of codes
     ((a q + b) q + c) q + d: int64 when q**4 fits, Python integers in an
@@ -622,8 +645,7 @@ class SubgroupClosure:
         return view
 
     def extend(self, g: MatP, *, cap: int = DEFAULT_CLOSURE_CAP) -> "SubgroupClosure":
-        """The closure of <H, g>, by one Dimino stage; ``self`` when g is
-        already a member."""
+        """The closure of <H, g>; ``self`` when g is already a member."""
         if g.modulus != self.modulus:
             raise ModulusMismatch(f"element lives mod {g.modulus.pN}, closure mod {self.q}")
         if g.det() != 1 % self.q:
@@ -658,10 +680,34 @@ class SubgroupClosure:
         return closure
 
     def _extend(self, g: MatP, cap: int) -> "SubgroupClosure":
-        """One stage by a non-member g of determinant one."""
-        gens = (*self.generators, g)
-        if self._normalizes(g):
-            codes = _doubling_codes(self._codes, g, self.q, cap)
+        """<H, g> for a non-member g of determinant one, through the normal
+        closure of H in <H, g>.
+
+        While a conjugate t = g s g^-1 of a generator s of the current
+        closure K is not a member, K grows to <K, t> (each t lies in
+        <H, g>); each generator is conjugated once, as K only grows.  When
+        none is left, g K g^-1 = K, so <H, g> = K.<g> is one doubling.  The
+        stage by t is not itself a normal-closure stage: that recursion
+        need not end on a group that is not nilpotent.
+        """
+        g_inv = mat_inverse(g)
+        closure, i = self, 0
+        while i < len(closure.generators):
+            t = g @ closure.generators[i] @ g_inv
+            i += 1
+            if not closure.contains(t):
+                closure = closure._stage(t, cap)
+        codes = closure._codes
+        if not closure.contains(g):
+            codes = _doubling_codes(codes, g, self.q, cap)
+        return SubgroupClosure(self.modulus, (*self.generators, g), codes)
+
+    def _stage(self, t: MatP, cap: int) -> "SubgroupClosure":
+        """<H, t> for a non-member t: by doubling when t normalizes H, by
+        one Dimino stage otherwise."""
+        gens = (*self.generators, t)
+        if self._normalizes(t):
+            codes = _doubling_codes(self._codes, t, self.q, cap)
         else:
             codes = _dimino_codes(self._codes, gens, self.q, cap)
         return SubgroupClosure(self.modulus, gens, codes)

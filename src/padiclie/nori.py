@@ -65,6 +65,7 @@ from .explog import exp_extended_columns, log_extended_columns
 from .lattice import (
     LieLattice,
     Vec,
+    bracket,
     bracket_witness,
     combination_columns,
     lattice_level,
@@ -251,7 +252,7 @@ def _column_mat(cols: tuple[np.ndarray, ...], i: int, modulus: Modulus) -> MatP:
 def _swept(
     H: FpSubgroup, unip: tuple[np.ndarray, ...], unip_codes: np.ndarray
 ) -> tuple[list[tuple[MatP, SubgroupClosure]], np.ndarray]:
-    """The extensions (u, <H, u>) of H, one Dimino stage per double coset
+    """The extensions (u, <H, u>) of H, one ``extend`` per double coset
     H <u> H, in code order of u, and the table that gives, for each
     unipotent v, the position of <H, v> in that list, or -1 where v lies in
     H."""
@@ -327,9 +328,10 @@ def enumerate_nilpotently_generated(p: int) -> list[LieLattice]:
 
     The points of a block of subspaces of one dimension k are formed at
     once.  A subspace needs k independent nilpotent lines, so at least
-    1 + k (p - 1) nilpotent points; only such a subspace becomes a lattice,
-    whose bracket closure is checked and which is compared with the lattice
-    its nilpotent points span.
+    1 + k (p - 1) nilpotent points, and a plane span(u, v) is bracket-closed
+    only if det(u, v, [u, v]) = 0 mod p; only a subspace passing both
+    becomes a lattice, whose bracket closure is checked and which is
+    compared with the lattice its nilpotent points span.
     """
     modulus = Modulus(p, 1)
     out = []
@@ -342,7 +344,12 @@ def enumerate_nilpotently_generated(p: int) -> list[LieLattice]:
             points = coeffs @ bases % p  # subspace x point x coordinate
             x, y, z = np.moveaxis(points, -1, 0)
             nilpotent = (y * y + x * z) % p == 0  # det of [[y, x], [z, -y]] is 0
-            for i in np.flatnonzero(nilpotent.sum(axis=1) >= 1 + k * (p - 1)):
+            keep = nilpotent.sum(axis=1) >= 1 + k * (p - 1)
+            if k == 2:  # two nilpotent lines span 2p - 1 such points
+                u, v = bases[:, 0], bases[:, 1]
+                w = np.stack(bracket(tuple(u.T), tuple(v.T), p), axis=1)
+                keep &= (u * np.cross(v, w)).sum(axis=1) % p == 0
+            for i in np.flatnonzero(keep):
                 L = LieLattice.from_columns(block[i], modulus)
                 if bracket_witness(L, 1) is not None:
                     continue

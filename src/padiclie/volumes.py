@@ -168,6 +168,20 @@ def fixed_points_P1(x: MatP, p: int, n: int) -> int:
     return int(np.count_nonzero(_fixed_on_P1(x.as_tuple(), p**n)))
 
 
+def gamma0_closed_form_applies(x: MatP, n: int) -> bool:
+    """Whether ``phi_gamma0`` is stated for x at exponent n: odd p, n <= N
+    and x upper triangular with r = min(v(d - a), v(b)) < n."""
+    modulus = x.modulus
+    p, N = modulus.p, modulus.N
+    (a, b), (c, d) = x.rows
+    return (
+        p != 2
+        and n <= N
+        and c % modulus.pN == 0
+        and min(int_valuation(d - a, p, N), int_valuation(b, p, N)) < n
+    )
+
+
 def phi_gamma0(x: MatP, n: int) -> Fraction:
     """Closed form for the commutator volume against the lower-left
     congruence subgroup of exponent n, for upper-triangular x.
@@ -178,20 +192,14 @@ def phi_gamma0(x: MatP, n: int) -> Fraction:
     both cases normalized by the size of the projective line.  The identity
     with the brute-force fixed-point count is asserted on every call.
     """
-    modulus = x.modulus
-    p, N = modulus.p, modulus.N
-    if p == 2:
-        raise PreconditionViolation("closed form stated for odd p")
-    if n > N:
-        raise PreconditionViolation(f"n = {n} exceeds precision N = {N}")
+    if not gamma0_closed_form_applies(x, n):
+        raise PreconditionViolation(
+            f"closed form stated for odd p, n <= N and upper-triangular x with r < n = {n}"
+        )
+    p, N = x.modulus.p, x.modulus.N
     (a, b), (c, d) = x.rows
-    if c % modulus.pN != 0:
-        raise PreconditionViolation("x must be upper triangular")
     vda = int_valuation(d - a, p, N)
-    vb = int_valuation(b, p, N)
-    r = min(vda, vb)
-    if r >= n:
-        raise PreconditionViolation(f"r = {r} must be smaller than n = {n}")
+    r = min(vda, int_valuation(b, p, N))
     unit_density = Fraction(p, p + 1)
     if 2 * vda < n + r:
         value = 2 * unit_density * Fraction(1, p ** (n - vda))

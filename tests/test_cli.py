@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -104,6 +105,16 @@ def test_phi_command(capsys):
     assert case["match"] is True
     assert case["ratio"] == "1/4"
     assert case["count"] * 4 == case["total"]
+
+
+@pytest.mark.parametrize("x", ["[[2,1],[1,1]]", "[[1,0],[0,1]]", "[[8,0],[0,8]]"])
+def test_phi_gamma0_outside_the_closed_form(capsys, x):
+    # not upper triangular, or r >= n: only the brute-force count is reported
+    code, rep = _run(capsys, ["phi", "--p", "3", "--n", "2", "--K", "gamma0", "--x", x])
+    assert code == 0 and rep["passed"]
+    (case,) = rep["cases"]
+    assert set(case) == {"count", "total", "ratio"}
+    assert case["total"] == 648 and Fraction(case["ratio"]) * 648 == case["count"]
 
 
 def test_cdelta_decay_table_csv(capsys, tmp_path):

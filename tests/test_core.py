@@ -291,6 +291,57 @@ def test_conjugate_matches_closing_the_conjugated_generators():
         H.conjugate(MatP.identity(Modulus(7, 1)), ())
 
 
+def _extension_cases():
+    """(H, g) with g outside H: K(p) pairs (nilpotent); Sylow subgroups of
+    SL(2, F_p) extended by unipotents outside their Borel subgroup, and
+    SL(2, Z/9) (not nilpotent)."""
+    cases = []
+    for p, N in ((7, 3), (5, 3), (3, 4)):
+        rng = random.Random(f"extend-{p}-{N}")
+        m = Modulus(p, N)
+        for _ in range(3):
+            g1, g2 = (random_congruence_element(rng, m, 1) for _ in range(2))
+            cases.append((closure_of_generators([g1]), g2))
+    rng = random.Random(14)
+    for p in (5, 7):
+        m = Modulus(p, 1)
+        u = MatP.of([[1, 1], [0, 1]], m)
+        outside = [MatP.of([[1, 0], [1, 1]], m)]
+        while len(outside) < 3:
+            x = random_sl2(rng, m)
+            if x.rows[1][0]:  # x u x^-1 is not upper triangular
+                outside.append(x @ u @ mat_inverse(x))
+        sylow = closure_of_generators([u])
+        cases += [(sylow, g) for g in outside]
+    m = Modulus(3, 2)
+    cases.append((closure_of_generators([MatP.of([[1, 1], [0, 1]], m)]), MatP.of([[1, 0], [1, 1]], m)))
+    return cases
+
+
+@pytest.mark.parametrize("H, g", _extension_cases())
+def test_extend_matches_one_dimino_stage(H, g):
+    # the normal-closure stages give the group of the single Dimino stage
+    # they replace, with the same generator record
+    gens = (*H.generators, g)
+    bigger = H.extend(g)
+    assert bigger.generators == gens
+    assert np.array_equal(bigger.codes, core._dimino_codes(H.codes, gens, H.q, 10**6))
+    if bigger.order <= 20_000:
+        assert list(bigger.iter_tuples()) == sorted(_closure_python(H.q, _tuples(gens), 10**6))
+
+
+def test_nilpotent_pair_closes_without_dimino_rounds(monkeypatch):
+    # in K(7) mod 7^3, of class 2, each stage of a pair is a doubling
+    rng = random.Random("pairs-7-3-1")
+    gens = [random_congruence_element(rng, Modulus(7, 3), 1) for _ in range(2)]
+
+    def refuse(*args):
+        raise AssertionError("Dimino stage")
+
+    monkeypatch.setattr(core, "_dimino_codes", refuse)
+    assert group_level(gens).closure_order == 7**5
+
+
 def test_closure_examples():
     m = Modulus(3, 2)
     gens = [MatP.of([[1, 1], [0, 1]], m), MatP.of([[1, 0], [1, 1]], m)]
@@ -405,6 +456,25 @@ def test_matp_is_2x2_only():
             MatP.from_json({"p": 3, "N": 2, "mat": rows})
     assert MatP.identity(m).rows == ((1, 0), (0, 1))
     assert MatP.zero(m).rows == ((0, 0), (0, 0))
+
+
+def test_matp_entries_are_integers():
+    m = Modulus(3, 2)
+    bad = (1.5, True, np.bool_(True), np.float64(1.0), "1", None)
+    for a in bad:
+        with pytest.raises(ValueError):
+            MatP.of([[a, 1], [0, 1]], m)
+        with pytest.raises(ValueError):
+            MatP(((a, 1), (0, 1)), m)
+    x = MatP.of([[np.int64(10), -1], [0, np.int32(1)]], m)
+    assert x.rows == ((1, 8), (0, 1)) and all(type(a) is int for row in x.rows for a in row)
+    # a numpy entry is stored as a Python int, so products do not wrap at int64
+    big = Modulus(3, 39)
+    u = 3**30 + 1
+    rows = ((np.int64(u), 0), (0, pow(u, -1, big.pN)))
+    y = MatP(rows, big)
+    assert all(type(a) is int for row in y.rows for a in row)
+    assert (y @ y).rows[0][0] == u * u % big.pN
 
 
 def test_inverse_columns_inverts_every_element():

@@ -45,6 +45,7 @@ from padiclie.errors import (
 )
 from padiclie.explog import exp_extended, exp_trunc, log_extended, log_trunc
 from padiclie.lattice import (
+    bracket_witness,
     mat_to_vec,
     membership_mod,
     vec_add,
@@ -280,6 +281,24 @@ def test_nilpotently_generated_enumeration():
     algebras = enumerate_nilpotently_generated(5)
     dims = sorted(L.rank for L in algebras)
     assert dims == [0] + [1] * 6 + [3]  # zero, the p + 1 nilpotent lines, sl2
+
+
+def _nilpotently_generated_by_scan(p):
+    """Every subspace of F_p^3 that is bracket-closed and spanned by its
+    nilpotent points, one subspace at a time and with no filter."""
+    m = Modulus(p, 1)
+    out = []
+    for basis in nori._all_subspaces(p):
+        L = LieLattice.from_columns(basis, m)
+        nilpotent = [v for v in L.iter_points() if residually_nilpotent(vec_to_mat(v, m))]
+        if bracket_witness(L, 1) is None and LieLattice.from_columns(nilpotent, m) == L:
+            out.append(L)
+    return out
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_nilpotently_generated_matches_unfiltered_scan(p):
+    assert enumerate_nilpotently_generated(p) == _nilpotently_generated_by_scan(p)
 
 
 def test_roundtrip_fp_and_smallest_prime():

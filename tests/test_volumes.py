@@ -99,6 +99,21 @@ def test_phi_gamma0_paper_instances():
         phi_gamma0(MatP.identity(m), 2)  # r is not < n for the identity
 
 
+@pytest.mark.parametrize("p, N", [(2, 2), (3, 2), (5, 1)])
+def test_gamma0_closed_form_domain(p, N):
+    # the domain test agrees with phi_gamma0's preconditions on every
+    # element of SL(2, Z/p^N) and every exponent n
+    m = Modulus(p, N)
+    for cols in zip(*sl2_columns(p**N)):
+        x = MatP.of([cols[:2], cols[2:]], m)
+        for n in range(1, N + 2):
+            if volumes.gamma0_closed_form_applies(x, n):
+                phi_gamma0(x, n)
+            else:
+                with pytest.raises(PreconditionViolation):
+                    phi_gamma0(x, n)
+
+
 @pytest.mark.parametrize("p", [3, 5])
 @pytest.mark.parametrize("n", [1, 2])
 def test_phi_gamma0_matches_brute_on_all_upper_triangular(p, n):
