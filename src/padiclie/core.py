@@ -395,6 +395,19 @@ def column_dtype(bound: int):
     return np.int64 if bound <= 2**62 else object
 
 
+def checked_columns(cols) -> tuple[np.ndarray, ...]:
+    """The columns as arrays, refusing (``ValueError``) any that is not
+    1-D, not of integer or object dtype, or not as long as the others: a
+    float would be truncated and a short column broadcast without notice."""
+    cols = tuple(np.asarray(x) for x in cols)
+    for x in cols:
+        if x.ndim != 1 or x.dtype.kind not in "iuO":
+            raise ValueError(f"element columns must be 1-D integer arrays, got {x.ndim}-D {x.dtype}")
+    if len({len(x) for x in cols}) > 1:
+        raise ValueError("element columns must have equal lengths")
+    return cols
+
+
 def as_columns(cols, bound: int) -> tuple[np.ndarray, ...]:
     """The columns at ``column_dtype(bound)``."""
     dtype = column_dtype(bound)
@@ -429,23 +442,15 @@ def in_principal_congruence_columns(cols, q_m: int) -> np.ndarray:
 
 def residually_unipotent_columns(cols, p: int) -> np.ndarray:
     """``residually_unipotent`` on entry columns: (g - 1)^2 = 0 mod p."""
-    a, b, c, d = (x % p for x in cols)
-    bc = b * c
-    t = a + d - 2
-    return (
-        (((a - 1) * (a - 1) + bc) % p == 0)
-        & (b * t % p == 0)
-        & (c * t % p == 0)
-        & (((d - 1) * (d - 1) + bc) % p == 0)
-    )
+    a, b, c, d = cols
+    return residually_nilpotent_columns((a - 1, b, c, d - 1), p)
 
 
 def residually_nilpotent_columns(cols, p: int) -> np.ndarray:
-    """``residually_nilpotent`` on entry columns: x^2 = 0 mod p."""
+    """``residually_nilpotent`` on entry columns: x^2 = 0 mod p, that is
+    trace and determinant 0 mod p (Cayley-Hamilton over F_p)."""
     a, b, c, d = (x % p for x in cols)
-    bc = b * c
-    t = a + d
-    return ((a * a + bc) % p == 0) & (b * t % p == 0) & (c * t % p == 0) & ((d * d + bc) % p == 0)
+    return ((a + d) % p == 0) & ((a * d - b * c) % p == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -663,7 +668,7 @@ class SubgroupClosure:
         elements as extending by each pool element in turn.
         """
         q = self.q
-        pool = as_columns(pool, 2 * q * q)
+        pool = as_columns(checked_columns(pool), 2 * q * q)
         a, b, c, d = pool
         if any(np.any((x < 0) | (x >= q)) for x in pool):
             raise ValueError(f"pool entries must be residues in [0, {q})")
@@ -727,7 +732,7 @@ class SubgroupClosure:
     def contains_columns(self, a, b, c, d) -> np.ndarray:
         """Membership mask of the elements with entry columns a, b, c, d
         (residues in [0, q))."""
-        return _isin_sorted(self._codes, element_codes((a, b, c, d), self.q))
+        return _isin_sorted(self._codes, element_codes(checked_columns((a, b, c, d)), self.q))
 
     def columns(self) -> tuple[np.ndarray, ...]:
         """The elements as entry columns (a, b, c, d), in increasing code

@@ -58,6 +58,7 @@ from .errors import (
     BracketClosureAnomaly,
     BudgetExceeded,
     InvariantViolation,
+    ModulusMismatch,
     PreconditionViolation,
     UnsupportedPrime,
 )
@@ -405,13 +406,24 @@ def liec_padic(
         closure = generators
     else:
         closure = closure_of_generators(generators, cap=cap)
+    _, logs = _resunip_logs(closure)
+    return _log_span(logs, closure.modulus)
+
+
+def _resunip_logs(closure: SubgroupClosure):
+    """The residually unipotent elements of a closure as entry columns, in
+    code order, and the coordinate columns of their logarithms (p >= 5)."""
     modulus = closure.modulus
     if modulus.p < 5:
         raise UnsupportedPrime("precision-N correspondence needs p >= 5")
     cols = closure.columns()
     resunip = residually_unipotent_columns(cols, modulus.p)
-    logs = log_extended_columns(tuple(x[resunip] for x in cols), modulus)
-    v = mat_to_vec_columns(logs, modulus.pN)
+    elements = tuple(x[resunip] for x in cols)
+    return elements, mat_to_vec_columns(log_extended_columns(elements, modulus), modulus.pN)
+
+
+def _log_span(v, modulus: Modulus) -> LieLattice:
+    """``liec_padic``'s lattice from the logarithm coordinate columns v."""
     span_cols: list[Vec] = []
     lattice = LieLattice.from_columns([], modulus)
     rest = np.flatnonzero(~membership_mod_columns(lattice, v, modulus.N))
@@ -489,15 +501,6 @@ def grpc_padic(L: LieLattice, *, cap: int = DEFAULT_CLOSURE_CAP) -> SubgroupClos
 # ---------------------------------------------------------------------------
 # Round-trip verification
 # ---------------------------------------------------------------------------
-
-
-def _kernel_logs(closure: SubgroupClosure) -> tuple[np.ndarray, ...]:
-    """Coordinate columns of log g for the elements g of H cap K(p), in
-    code order."""
-    modulus = closure.modulus
-    cols = closure.columns()
-    kernel = tuple(x[in_principal_congruence_columns(cols, modulus.p)] for x in cols)
-    return mat_to_vec_columns(log_extended_columns(kernel, modulus), modulus.pN)
 
 
 @dataclass
@@ -604,17 +607,26 @@ def roundtrip_check_padic(
     * the closure of exp(h_resnilp) meets K(p) in exactly exp(h cap p sl2)
       (identity two, literal set equality);
     * when h is full rank, the group level of H equals the lattice level.
+
+    The logarithms of H_resunip are taken once: h is their span, and those
+    of H cap K(p), which lies in H_resunip, are the ones at its elements
+    trivial mod p.  Every generator must live at ``modulus``.
     """
+    for g in (g for gens in samples for g in gens):
+        if g.modulus != modulus:
+            raise ModulusMismatch(f"generator lives mod {g.modulus.pN}, check runs mod {modulus.pN}")
     report = RoundtripReport(p=modulus.p)
     p, q = modulus.p, modulus.pN
     for gens in samples:
         closure = closure_of_generators(gens, cap=cap)
-        h = liec_padic(closure)
+        resunip, resunip_logs = _resunip_logs(closure)
+        h = _log_span(resunip_logs, modulus)
         report.subgroup_count += 1
 
         # identity one: span(log H_resunip) cap p sl2 = log(H cap K(p))
         inner = h.intersect_scaled_ambient(1)
-        logs = _kernel_logs(closure)
+        kernel = in_principal_congruence_columns(resunip, p)
+        logs = tuple(x[kernel] for x in resunip_logs)
         ok_one = bool(membership_mod_columns(inner, logs, modulus.N).all())
         ok_one = ok_one and len(np.unique(_vec_codes(logs, q))) == inner.point_count()
         if not ok_one:

@@ -156,6 +156,14 @@ def test_column_masks_match_scalar_predicates():
         for k in range(1, m.N + 1):
             mask = in_principal_congruence_columns(cols, m.p**k)
             assert mask.tolist() == [in_principal_congruence(g, k) for g in mats]
+    # every 2x2 matrix over F_3 and F_5, at the lifts x and x + p
+    for p in (3, 5):
+        m = Modulus(p, 2)
+        mats = [MatP.of([[a, b], [c, d]], m) for a in range(2 * p) for b in range(p)
+                for c in range(p) for d in range(2 * p)]
+        cols = tuple(np.array(col) for col in zip(*_tuples(mats)))
+        assert residually_unipotent_columns(cols, p).tolist() == [residually_unipotent(g) for g in mats]
+        assert residually_nilpotent_columns(cols, p).tolist() == [residually_nilpotent(g) for g in mats]
 
 
 def _generator_sets(moduli):
@@ -237,6 +245,24 @@ def test_extend_by_pool_rejects_bad_entries():
         trivial.extend_by_pool(([1], [25], [0], [1]))  # 25 is no residue mod 25
     with pytest.raises(ClosureBudgetExceeded):
         trivial.extend_by_pool(([1, 1], [1, 0], [0, 1], [1, 1]), cap=100)
+
+
+@pytest.mark.parametrize("cols", [
+    ([1], [1.5], [0], [1]),  # float: 1.5 would truncate to 1
+    ([1, 1], [1], [0, 0], [1, 1]),  # ragged: [1] would broadcast
+    ([[1]], [[1]], [[0]], [[1]]),  # 2-D
+    ([True], [False], [False], [True]),  # bool
+])
+def test_column_membership_and_pools_refuse_non_integer_or_ragged_columns(cols):
+    closure = SubgroupClosure.trivial(Modulus(5, 2))
+    with pytest.raises(ValueError):
+        closure.contains_columns(*cols)
+    with pytest.raises(ValueError):
+        closure.extend_by_pool(cols)
+    # object columns of Python integers stay accepted
+    unip = tuple(np.array([x], dtype=object) for x in (1, 1, 0, 1))
+    assert closure.contains_columns(*unip).tolist() == [False]
+    assert closure.extend_by_pool(unip).order == 25
 
 
 def test_double_coset_matches_products():

@@ -22,9 +22,11 @@ from padiclie import (
 from padiclie import explog
 from padiclie.errors import DomainViolation, UnsupportedPrime
 from padiclie.explog import (
+    _congruence_cutoff,
     _exp_series,
     _exp_series_columns,
     _log_series,
+    _log_series_columns,
     _resnilp_cutoff,
     borel_coset_witness,
     exp_extended_columns,
@@ -35,6 +37,7 @@ from padiclie.sampling import (
     random_congruence_domain_matrix,
     random_resnilp_matrix,
     random_resunip_element,
+    random_resunip_generator_sets,
 )
 from padiclie.core import random_congruence_element, random_sl2
 
@@ -316,3 +319,109 @@ def test_column_kernels_reject_one_out_of_domain_column(pN, monkeypatch):
     assert _tuples(_exp_series_columns(_columns(xs), p, N, cutoff)) == [
         _scalar(_exp_series, x, m, cutoff) for x in xs
     ]
+
+
+@pytest.mark.parametrize("pN", [(3, 4), (5, 3), (7, 3), (3, 20)])
+def test_log_columns_at_the_congruence_cutoff_match_scalar_series(pN, monkeypatch):
+    # the path group_certificate runs: K(p) elements at the congruence cutoff
+    monkeypatch.setattr(explog, "_BLOCK_ELEMENTS", 16)
+    p, N = pN
+    m = Modulus(p, N)
+    rng = random.Random(23)
+    cutoff = _congruence_cutoff(p, N, m.eps_p)
+    gs = [random_congruence_element(rng, m, rng.randrange(1, N + 1)).as_tuple() for _ in range(60)]
+    gs.append((1, 0, 0, 1))
+    logs = _log_series_columns(_columns(gs), p, N, cutoff)
+    assert _tuples(logs) == [_scalar(_log_series, g, m, cutoff) for g in gs]
+    # 2 p^(2W) >= 2^62 at (3, 20): the kernel must run on Python integers
+    assert (logs[0].dtype == object) == ((p, N) == (3, 20))
+
+
+def _pair_count(cols, pW):
+    a, b, c, d = (np.asarray(x, dtype=object) for x in cols)
+    return len({(t % pW, s % pW) for t, s in zip(a + d, a * d - b * c)})
+
+
+def test_columns_on_a_closure_with_repeated_pairs_match_scalar_series():
+    # a 5^5 criterion-5 closure: 3,125 elements, 49 distinct (trace, det) of g - 1
+    m = Modulus(5, 3)
+    sets = random_resunip_generator_sets(random.Random(20260810), m, 50)
+    closure = next(c for c in map(closure_of_generators, sets) if c.order == 5**5)
+    gs = list(closure.iter_tuples())
+    cutoff = _resnilp_cutoff(5, 3)
+    a, b, c, d = _columns(gs)
+    assert _pair_count((a - 1, b, c, d - 1), 5**4) == 49
+    logs = log_extended_columns(closure.columns(), m)
+    assert _tuples(logs) == [_scalar(_log_series, g, m, cutoff) for g in gs]
+    xs = _tuples(logs)
+    assert _tuples(exp_extended_columns(logs, m)) == [_scalar(_exp_series, x, m, cutoff) for x in xs]
+
+
+# log at (5, 11) and both series at (13, 7) run on int64 near its bound,
+# 2 p^(2W) = 0.65 and 0.29 times 2^62
+@pytest.mark.parametrize("pN", [(5, 3), (7, 2), (5, 11), (13, 7), (5, 14)])
+def test_columns_on_a_block_of_distinct_pairs_match_scalar_series(pN, monkeypatch):
+    monkeypatch.setattr(explog, "_BLOCK_ELEMENTS", 16)
+    p, N = pN
+    m = Modulus(p, N)
+    q = m.pN
+    cutoff = _resnilp_cutoff(p, N)
+    rng = random.Random(5)
+    # companion matrices [[0, 1], [-det, tau]]: 16 distinct (tau, det), both 0 mod p
+    pairs = set()
+    while len(pairs) < 16:
+        pairs.add((p * rng.randrange(q // p), p * rng.randrange(q // p)))
+    xs = [(0, 1, -s % q, t) for t, s in pairs]
+    gs = [(1, 1, -s % q, (t + 1) % q) for t, s in pairs]
+    assert _pair_count(_columns(xs), q) == 16
+    assert _tuples(exp_extended_columns(_columns(xs), m)) == [
+        _scalar(_exp_series, x, m, cutoff) for x in xs]
+    logs = log_extended_columns(_columns(gs), m)
+    assert _tuples(logs) == [_scalar(_log_series, g, m, cutoff) for g in gs]
+    assert (logs[0].dtype == object) == ((p, N) == (5, 14))
+
+
+@pytest.mark.parametrize("pN", [(11, 2), (13, 2)])
+def test_column_kernels_check_the_domain_below_p_terms(pN):
+    # the series stops before k = p, so no division can catch these inputs
+    p, N = pN
+    m = Modulus(p, N)
+    assert _resnilp_cutoff(p, N) <= p
+    with pytest.raises(DomainViolation):
+        exp_extended_columns(_columns([(0, 0, 0, 0), (1, 0, 0, m.pN - 1)]), m)
+    with pytest.raises(DomainViolation):
+        log_extended_columns(_columns([(1, 0, 0, 1), (2, 0, 0, pow(2, -1, m.pN))]), m)
+
+
+def test_column_divisibility_check_acts_on_the_coefficients():
+    # at p = 2, x = [[0, 1], [2, 0]] is nilpotent mod 2 but x^4 / 4! = 1/6
+    # is not 2-integral; on the domain at p >= 3 this check never fires
+    m = Modulus(2, 2)
+    x = (0, 1, 2, 0)
+    with pytest.raises(DomainViolation):
+        _scalar(_exp_series, x, m, 6)
+    with pytest.raises(DomainViolation):
+        _exp_series_columns(_columns([(0, 0, 0, 0), x]), 2, 2, 6)
+    assert _tuples(_exp_series_columns(_columns([(0, 1, 0, 0)]), 2, 2, 6)) == [(1, 1, 0, 1)]
+
+
+def _bad_columns(kind, diag):
+    """One matrix [[diag, 5], [0, diag]] as columns that are not 1-D integer
+    columns of one length."""
+    return {
+        "float": ([diag], [5.7], [0], [diag]),  # 5.7 would truncate to 5
+        "ragged": ([diag, diag], [5], [0, 0], [diag, diag]),  # [5] would broadcast
+        "2-D": ([[diag]], [[5]], [[0]], [[diag]]),
+        "bool": ([bool(diag)], [True], [False], [bool(diag)]),
+    }[kind]
+
+
+@pytest.mark.parametrize("kind", ["float", "ragged", "2-D", "bool"])
+def test_column_entry_points_refuse_non_integer_or_ragged_columns(kind):
+    m = Modulus(5, 2)
+    with pytest.raises(ValueError):
+        exp_extended_columns(_bad_columns(kind, 0), m)
+    with pytest.raises(ValueError):
+        log_extended_columns(_bad_columns(kind, 1), m)
+    # object columns of Python integers stay accepted
+    assert _tuples(log_extended_columns(_columns([(1, 5, 0, 1)]), m)) == [(0, 5, 0, 0)]

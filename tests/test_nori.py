@@ -29,6 +29,7 @@ from padiclie.core import (
     SubgroupClosure,
     closure_of_pool,
     in_principal_congruence,
+    in_principal_congruence_columns,
     mat_inverse,
     reduction_kernel_generators,
     residually_nilpotent,
@@ -40,6 +41,7 @@ from padiclie.errors import (
     BudgetExceeded,
     ClosureBudgetExceeded,
     InvariantViolation,
+    ModulusMismatch,
     PreconditionViolation,
     UnsupportedPrime,
 )
@@ -54,7 +56,7 @@ from padiclie.lattice import (
     vec_to_mat_columns,
 )
 from padiclie.nori import (
-    _kernel_logs,
+    _resunip_logs,
     enumerate_nilpotently_generated,
     resnilp_stratum,
     smallest_passing_prime,
@@ -460,6 +462,19 @@ def test_roundtrip_padic_small_sample():
     assert rep.checked >= 12
 
 
+@pytest.mark.parametrize("gens_N, check_N", [(4, 3), (3, 4)])
+def test_roundtrip_padic_refuses_generators_at_another_modulus(gens_N, check_N):
+    gens = random_resunip_generator_sets(random.Random(99), Modulus(5, gens_N), 2)
+    # the same sets pass at their own modulus
+    assert roundtrip_check_padic(gens, Modulus(5, gens_N)).passed
+    with pytest.raises(ModulusMismatch):
+        roundtrip_check_padic(gens, Modulus(5, check_N))
+    # a stray generator in a later sample is refused too
+    fine = random_resunip_generator_sets(random.Random(98), Modulus(5, check_N), 1)
+    with pytest.raises(ModulusMismatch):
+        roundtrip_check_padic([*fine, [gens[0][0]]], Modulus(5, check_N))
+
+
 def test_roundtrip_padic_borel_preimage():
     # the preimage of the unipotent radical under reduction is residually
     # unipotent generated; identities must hold on it
@@ -614,7 +629,10 @@ def test_padic_column_paths_match_per_element(pN, monkeypatch):
             for t in closure.iter_tuples()
             if in_principal_congruence(_mat(t, m), 1)
         ]
-        assert _rows(_kernel_logs(closure)) == logs
+        # the round trip's logs of H cap K(p): the shared pass over H_resunip, masked
+        resunip, resunip_logs = _resunip_logs(closure)
+        kernel = in_principal_congruence_columns(resunip, m.p)
+        assert _rows(tuple(x[kernel] for x in resunip_logs)) == logs
         checked += 1
     assert checked >= 6
 

@@ -133,3 +133,16 @@ def test_grid_evaluator_is_the_oracle_only():
                 found.append(f"{path.name}:{node.lineno} uses {name}")
     assert found == []
     assert defined == {"congcount.py:_evaluate_on_grid"}
+
+
+# The exp/log column kernels run on two coefficient columns per distinct
+# (trace, det) pair; a 2x2 product per element does not belong in them.
+def test_series_kernels_take_no_matrix_products():
+    path = next(p for p in SOURCES if p.name == "explog.py")
+    found = [
+        f"explog.py:{node.lineno}"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if (node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute)
+            else node.name if isinstance(node, ast.alias) else None) == "mul_columns"
+    ]
+    assert found == []
