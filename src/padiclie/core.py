@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -457,27 +457,87 @@ def residually_nilpotent_columns(cols, p: int) -> np.ndarray:
 # Subgroup closures in SL(2, Z/q)
 # ---------------------------------------------------------------------------
 
-# Coset blocks are built at most this many codes at a time, which bounds the
-# engine's scratch memory whatever the subgroup order.
-_BLOCK_CODES = 1 << 18
+# ``_product_codes`` forms at most this many codes at a time, so the
+# engine's scratch memory (eight entries per code, 512 KB at int64, and a
+# decoded tile of the code set) stays in cache and is bounded whatever the
+# subgroup order.  On K(3) mod 3^5, 2^12 to 2^14 are equally fast, 2^11
+# pays per-block overhead and from 2^15 on the blocks leave the cache;
+# 2^13 keeps the peak memory of that closure at 1.6 times its result.
+_BLOCK_CODES = 1 << 13
 
 
 def _encode(a, b, c, d, q):
     return ((a * q + b) * q + c) * q + d
 
 
+@lru_cache(maxsize=16)
+def _radix(q: int, dtype) -> np.ndarray:
+    """The place values q^3, q^2, q, 1 of the entries in a code, as a
+    read-only column."""
+    radix = np.array([q**3, q**2, q, 1], dtype=dtype)[:, None]
+    radix.flags.writeable = False
+    return radix
+
+
 def element_codes(cols, q: int) -> np.ndarray:
     """Codes ((a q + b) q + c) q + d of entry columns (residues in [0, q)),
     at the dtype a closure mod q stores them in."""
-    return _encode(*as_columns(cols, q**4), q)
+    dtype = column_dtype(q**4)
+    return _radix(q, dtype)[:, 0] @ np.asarray(cols, dtype=dtype)
 
 
-def _decode(codes: np.ndarray, q: int):
-    d = codes % q
-    r = codes // q
-    c = r % q
-    r //= q
-    return r // q, r % q, c, d
+def _residue_columns(cols, q: int) -> np.ndarray:
+    """``checked_columns`` as the rows of one array at the code dtype mod q,
+    refusing (``ValueError``) an entry outside [0, q): its code would name
+    another element."""
+    cols = np.array(checked_columns(cols), dtype=column_dtype(q**4))
+    if cols.size and (cols.min() < 0 or cols.max() >= q):
+        raise ValueError(f"element entries must be residues in [0, {q})")
+    return cols
+
+
+def _decode(codes: np.ndarray, q: int) -> np.ndarray:
+    """The entry columns of codes, as the rows a, b, c, d of one array."""
+    x = codes // _radix(q, codes.dtype)  # row i: codes // q^(3 - i)
+    x[1:] -= x[:-1] * q
+    return x
+
+
+def _product_codes(x_codes: np.ndarray, reps, q: int, out: np.ndarray) -> np.ndarray:
+    """Writes the codes of the products x.r, for x in the code set X and r
+    in the representatives (entry columns, residues in [0, q)), into the
+    contiguous array ``out``: out[j |X| + i] is the code of x_i r_j.
+
+    A block of at most ``_BLOCK_CODES`` codes is formed at a time, over a
+    tile of X (decoded from its codes) and a tile of the representatives.
+    Every entry is formed in place and reduced as x - (x // q) q, which is
+    several times faster than int64 ``%``; every value stays below q^4.
+    """
+    n, k = len(x_codes), len(reps[0])
+    if not n or not k:
+        return out
+    e_f, g_h = np.asarray(reps, dtype=out.dtype).reshape(2, 1, 2, k, 1)  # rows (e, f), (g, h)
+    grid = out.reshape(k, n)
+    place = _radix(q, out.dtype).reshape(2, 2, 1, 1)
+    width = min(n, _BLOCK_CODES)
+    rows = min(k, max(1, _BLOCK_CODES // width))
+    scratch = np.empty((2, 2, 2, rows, width), dtype=out.dtype)
+    for lo in range(0, n, width):
+        hi = min(n, lo + width)
+        left, right = _decode(x_codes[lo:hi], q).reshape(2, 2, 1, 1, -1).swapaxes(0, 1)  # (a, c), (b, d)
+        for r0 in range(0, k, rows):
+            r1 = min(k, r0 + rows)
+            y, t = scratch[:, :, :, :r1 - r0, :hi - lo]
+            np.multiply(left, e_f[:, :, r0:r1], out=y)  # y[i, j] = x[i, 0] r[0, j] + x[i, 1] r[1, j]
+            np.multiply(right, g_h[:, :, r0:r1], out=t)
+            y += t
+            np.floor_divide(y, q, out=t)
+            t *= q
+            y -= t
+            y *= place
+            y[0] += y[1]
+            np.add(y[0, 0], y[0, 1], out=grid[r0:r1, lo:hi])
+    return out
 
 
 def _isin_sorted(sorted_codes: np.ndarray, codes: np.ndarray) -> np.ndarray:
@@ -496,12 +556,15 @@ class _SortedRuns:
         self.size = len(first)
 
     def add(self, codes: np.ndarray) -> None:
+        """Adds ``codes``, a fresh array that is sorted in place."""
         runs = self.runs
-        runs.append(np.sort(codes))
+        codes.sort()
+        runs.append(codes)
         self.size += len(codes)
         while len(runs) > 1 and len(runs[-2]) < 2 * len(runs[-1]):
             last = runs.pop()
-            runs[-1] = np.sort(np.concatenate((runs[-1], last)), kind="stable")
+            runs[-1] = np.concatenate((runs[-1], last))
+            runs[-1].sort(kind="stable")
 
     def missing(self, codes: np.ndarray) -> np.ndarray:
         mask = np.ones(len(codes), dtype=bool)
@@ -510,24 +573,13 @@ class _SortedRuns:
         return mask
 
     def merged(self) -> np.ndarray:
-        return np.sort(np.concatenate(self.runs), kind="stable")
+        codes = np.concatenate(self.runs)
+        codes.sort(kind="stable")
+        return codes
 
 
 def _over_cap(size: int, cap: int) -> ClosureBudgetExceeded:
     return ClosureBudgetExceeded(f"closure exceeded cap {cap} (at least {size} elements)")
-
-
-def _cosets(h, reps, q: int) -> np.ndarray:
-    """Codes of the cosets H.r, |H| codes per representative, for H given
-    by its entry columns; built a bounded block at a time."""
-    order_h = len(h[0])
-    h = tuple(x[None, :] for x in h)
-    chunk = max(1, _BLOCK_CODES // order_h)
-    blocks = [
-        _encode(*mul_columns(h, tuple(x[lo:lo + chunk, None] for x in reps), q), q).ravel()
-        for lo in range(0, len(reps[0]), chunk)
-    ]
-    return np.concatenate(blocks)
 
 
 def _doubling_codes(h_codes: np.ndarray, g: MatP, q: int, cap: int) -> np.ndarray:
@@ -537,24 +589,31 @@ def _doubling_codes(h_codes: np.ndarray, g: MatP, q: int, cap: int) -> np.ndarra
     for every generator s of H.
 
     Then <H, g> is the union of the cosets H.g^i for i below the least j
-    with g^j in H.  The representatives R = (g^i), i < k, double as
-    R <- R u R.g^k, so log2(j) vectorized steps reach j; the cosets are
-    built once, at the end.
+    with g^j in H.  The representatives R = (g^i), i < k, kept as codes,
+    grow as R <- R u R.g^k u R.g^2k u R.g^3k, so log4(j) vectorized steps
+    reach j; the j - 1 new cosets are written beside H and sorted in place.
     """
-    order_h = len(h_codes)
-    reps = tuple(np.array([x], dtype=h_codes.dtype) for x in (1, 0, 0, 1))
-    step = g.as_tuple()  # g^k
+    order_h, dtype = len(h_codes), h_codes.dtype
+    reps = np.array([_encode(1, 0, 0, 1, q)], dtype=dtype)
+    step = g  # g^k
     while True:
-        block = mul_columns(reps, step, q)  # g^(k + i) for i < k
-        hits = np.flatnonzero(_isin_sorted(h_codes, _encode(*block, q)))
-        take = int(hits[0]) if hits.size else len(reps[0])
-        size = (len(reps[0]) + take) * order_h
+        square = step @ step
+        cols = np.array([x.as_tuple() for x in (step, square, square @ step)], dtype=dtype).T
+        block = _product_codes(reps, cols, q, np.empty(3 * len(reps), dtype))  # g^(k + i), i < 3k
+        hits = np.flatnonzero(_isin_sorted(h_codes, block))
+        take = int(hits[0]) if hits.size else len(block)
+        size = (len(reps) + take) * order_h
         if size > cap:
             raise _over_cap(size, cap)
-        reps = tuple(np.concatenate((x, y[:take])) for x, y in zip(reps, block))
+        reps = np.concatenate((reps, block[:take]))
         if hits.size:
-            return np.sort(_cosets(_decode(h_codes, q), reps, q))
-        step = mul_columns(step, step, q)
+            break
+        step = square @ square
+    codes = np.empty(size, dtype=dtype)
+    codes[:order_h] = h_codes
+    _product_codes(h_codes, _decode(reps[1:], q), q, codes[order_h:])
+    codes.sort()
+    return codes
 
 
 def _dimino_codes(
@@ -571,34 +630,33 @@ def _dimino_codes(
     generators when no round finds a new one, so it is the whole subgroup.
     """
     dtype = h_codes.dtype
-    h = tuple(x[None, :] for x in _decode(h_codes, q))
-    s = tuple(np.array(col, dtype=dtype)[None, :] for col in zip(*(g.as_tuple() for g in gens)))
+    s = list(zip(*(g.as_tuple() for g in gens)))
     order_h = len(h_codes)
     chunk = max(1, _BLOCK_CODES // order_h)
     known = _SortedRuns(h_codes)
-    frontier = tuple(np.array([x], dtype=dtype) for x in (1, 0, 0, 1))
-    while len(frontier[0]):
-        cand = tuple(x.ravel() for x in mul_columns(tuple(x[:, None] for x in frontier), s, q))
-        codes, first = np.unique(_encode(*cand, q), return_index=True)
-        keep = first[known.missing(codes)]
-        cand = tuple(x[keep] for x in cand)
+    frontier = np.array([_encode(1, 0, 0, 1, q)], dtype=dtype)
+    while True:
+        cand = np.unique(_product_codes(frontier, s, q, np.empty(len(frontier) * len(gens), dtype)))
+        cand = cand[known.missing(cand)]
         reps = []
-        for lo in range(0, len(cand[0]), chunk):
-            piece = tuple(x[lo:lo + chunk, None] for x in cand)
+        for lo in range(0, len(cand), chunk):
+            piece = cand[lo:lo + chunk]
             if lo:  # cosets found earlier in this round may hold some
-                fresh = known.missing(_encode(*piece, q)[:, 0])
-                if not fresh.any():
+                piece = piece[known.missing(piece)]
+                if not len(piece):
                     continue
-                piece = tuple(x[fresh] for x in piece)
-            cosets = _encode(*mul_columns(h, piece, q), q)  # row j: H.t_j
+            cosets = np.empty((len(piece), order_h), dtype)  # row j: H.t_j
+            _product_codes(h_codes, _decode(piece, q), q, cosets.ravel())
             _, first = np.unique(cosets.min(axis=1), return_index=True)
             if known.size + len(first) * order_h > cap:
                 raise _over_cap(known.size + len(first) * order_h, cap)
-            known.add(cosets[first].ravel())
-            reps.append(tuple(x[first, 0] for x in piece))
+            if len(first) < len(piece):
+                cosets, piece = cosets[first], piece[first]
+            known.add(cosets.ravel())
+            reps.append(piece)
         if not reps:
             break
-        frontier = tuple(np.concatenate(col) for col in zip(*reps))
+        frontier = np.concatenate(reps)
     return known.merged()
 
 
@@ -616,6 +674,11 @@ class SubgroupClosure:
     on a closure that already exists, so growing a subgroup one generator
     at a time never starts over; ``extend_by_pool`` does so for a pool of
     elements given as entry columns.
+
+    Every product of elements reaches a code through one blocked kernel,
+    ``_product_codes``, that writes into an array its caller allocates: a
+    doubling writes the j - 1 new cosets H.g^i beside H and sorts that
+    array in place, and a Dimino stage writes each new coset once.
 
     Elements are stored as one sorted array of codes
     ((a q + b) q + c) q + d: int64 when q**4 fits, Python integers in an
@@ -668,20 +731,19 @@ class SubgroupClosure:
         elements as extending by each pool element in turn.
         """
         q = self.q
-        pool = as_columns(checked_columns(pool), 2 * q * q)
+        pool = _residue_columns(pool, q)
         a, b, c, d = pool
-        if any(np.any((x < 0) | (x >= q)) for x in pool):
-            raise ValueError(f"pool entries must be residues in [0, {q})")
         if np.any((a * d - b * c) % q != 1 % q):
             raise ValueError("pool element has det != 1 mod p^N")
+        codes = element_codes(pool, q)
         closure = self
-        rest = np.flatnonzero(~closure.contains_columns(*pool))
+        rest = np.flatnonzero(~_isin_sorted(closure._codes, codes))
         while rest.size:
             i = rest[0]
             g = MatP(((int(a[i]), int(b[i])), (int(c[i]), int(d[i]))), self.modulus)
             closure = closure._extend(g, cap)
             rest = rest[1:]
-            rest = rest[~closure.contains_columns(*(x[rest] for x in pool))]
+            rest = rest[~_isin_sorted(closure._codes, codes[rest])]
         return closure
 
     def _extend(self, g: MatP, cap: int) -> "SubgroupClosure":
@@ -730,14 +792,14 @@ class SubgroupClosure:
         return i < len(self._codes) and int(self._codes[i]) == code
 
     def contains_columns(self, a, b, c, d) -> np.ndarray:
-        """Membership mask of the elements with entry columns a, b, c, d
-        (residues in [0, q))."""
-        return _isin_sorted(self._codes, element_codes(checked_columns((a, b, c, d)), self.q))
+        """Membership mask of the elements with entry columns a, b, c, d,
+        residues in [0, q); any other entry is refused (``ValueError``)."""
+        return _isin_sorted(self._codes, element_codes(_residue_columns((a, b, c, d), self.q), self.q))
 
     def columns(self) -> tuple[np.ndarray, ...]:
         """The elements as entry columns (a, b, c, d), in increasing code
         order."""
-        return _decode(self._codes, self.q)
+        return tuple(_decode(self._codes, self.q))
 
     def iter_tuples(self) -> Iterator[tuple[int, ...]]:
         """The elements as (a, b, c, d), in increasing code order."""
@@ -751,15 +813,13 @@ class SubgroupClosure:
         of an element u of prime order, <H, x> = <H, u> for each x in
         H S H outside H (``nori.enumerate_unipotent_generated``).
         """
-        q = self.q
+        q, h = self.q, self._codes
         if isinstance(s, MatP):
             s = tuple([x] for x in s.as_tuple())
         s = as_columns(s, 2 * q * q)
-        h = _decode(self._codes, q)
-        left = mul_columns(tuple(x[:, None] for x in h), tuple(x[None, :] for x in s), q)
-        left = tuple(x.ravel()[:, None] for x in left)  # H S, |H| |S| elements
-        cols = mul_columns(left, tuple(x[None, :] for x in h), q)
-        return np.unique(_encode(*cols, q))
+        reps = mul_columns(tuple(x[:, None] for x in s), _decode(h, q)[:, None, :], q)  # S H
+        codes = np.empty(len(h) * reps[0].size, h.dtype)
+        return np.unique(_product_codes(h, [x.ravel() for x in reps], q, codes))
 
     def conjugate(self, x: MatP, generators: tuple[MatP, ...]) -> "SubgroupClosure":
         """The closure of x H x^-1, from one product per element of H and a
@@ -769,10 +829,11 @@ class SubgroupClosure:
             raise ModulusMismatch(f"element lives mod {x.modulus.pN}, closure mod {self.q}")
         if x.det() != 1 % self.q:
             raise ValueError("conjugator has det != 1 mod p^N")
-        q = self.q
-        h = _decode(self._codes, q)
-        cols = mul_columns(mul_columns(x.as_tuple(), h, q), mat_inverse(x).as_tuple(), q)
-        return SubgroupClosure(self.modulus, generators, np.sort(_encode(*cols, q)))
+        q, h = self.q, self._codes
+        right = mul_columns(_decode(h, q), mat_inverse(x).as_tuple(), q)  # H x^-1
+        codes = _product_codes(np.array([_encode(*x.as_tuple(), q)], h.dtype), right, q, np.empty_like(h))
+        codes.sort()
+        return SubgroupClosure(self.modulus, generators, codes)
 
 
 def _iter_tuples(codes: np.ndarray, q: int) -> Iterator[tuple[int, ...]]:

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -265,6 +266,19 @@ def test_column_membership_and_pools_refuse_non_integer_or_ragged_columns(cols):
     assert closure.extend_by_pool(unip).order == 25
 
 
+def test_column_membership_refuses_entries_outside_the_residues():
+    # mod 5, [[0, 5], [0, 1]] (det 0) has the identity's code 126, and
+    # [[6, 0], [0, 1]] is the identity only after reduction
+    trivial = SubgroupClosure.trivial(Modulus(5, 1))
+    for rows in ([[0, 5], [0, 1]], [[6, 0], [0, 1]], [[1, -1], [0, 1]]):
+        cols = tuple(np.array([x]) for x in (*rows[0], *rows[1]))
+        with pytest.raises(ValueError):
+            trivial.contains_columns(*cols)
+        with pytest.raises(ValueError):
+            trivial.extend_by_pool(cols)
+    assert trivial.contains_columns([1, 1], [0, 4], [0, 0], [1, 1]).tolist() == [True, False]
+
+
 def test_double_coset_matches_products():
     rng = random.Random(4)
     m = Modulus(5, 1)
@@ -366,6 +380,68 @@ def test_nilpotent_pair_closes_without_dimino_rounds(monkeypatch):
 
     monkeypatch.setattr(core, "_dimino_codes", refuse)
     assert group_level(gens).closure_order == 7**5
+
+
+def _random_code_set(rng, q, size):
+    """Sorted distinct codes of random 2x2 matrices mod q, at the code dtype."""
+    tuples = {tuple(rng.randrange(q) for _ in range(4)) for _ in range(size)}
+    return core.element_codes(tuple(np.array(col, dtype=object) for col in zip(*tuples)), q).copy()
+
+
+@pytest.mark.parametrize("m", [Modulus(3, 5), Modulus(5, 7)], ids=["int64", "object"])
+@pytest.mark.parametrize("block", [8, core._BLOCK_CODES], ids=["block8", "shipped"])
+@pytest.mark.parametrize("wide", [False, True], ids=["k1", "wide"])
+def test_product_codes_match_encoded_products(m, block, wide):
+    # blocks of 8 codes tile both the code set and the representatives; at
+    # the shipped size, ``wide`` asks for more than one block of them
+    q = m.pN
+    rng = random.Random(f"kernel-{q}-{block}-{wide}")
+    x_codes = _random_code_set(rng, q, 40)
+    k = core._BLOCK_CODES // len(x_codes) + 3 if wide else 1
+    reps = tuple(np.array([rng.randrange(q) for _ in range(k)], dtype=x_codes.dtype) for _ in range(4))
+    x = tuple(np.array(col, dtype=x_codes.dtype) for col in zip(*core._iter_tuples(x_codes, q)))
+    expected = core._encode(*mul_columns(x, tuple(r[:, None] for r in reps), q), q).ravel()
+    buffer = np.full(len(expected) + 6, -1, dtype=x_codes.dtype)
+    with mock.patch.object(core, "_BLOCK_CODES", block):
+        core._product_codes(x_codes, reps, q, buffer[3:-3])
+    assert buffer[3:-3].tolist() == expected.tolist()
+    assert buffer[:3].tolist() == buffer[-3:].tolist() == [-1] * 3  # nothing beside ``out``
+
+
+def test_doubling_stage_forms_only_the_new_cosets(monkeypatch):
+    # K(9) is normal in SL(2, Z/3^5), and [[1, 3], [0, 1]] has order 3 over
+    # it: the stage forms 2 |K(9)| product codes, none for the coset K(9).1
+    m = Modulus(3, 5)
+    H = closure_of_generators(reduction_kernel_generators(m, 2))
+    g = MatP.of([[1, 3], [0, 1]], m)
+    asked = []
+    kernel = core._product_codes
+
+    def recording(x_codes, reps, q, out):
+        asked.append((len(x_codes), len(reps[0])))
+        return kernel(x_codes, reps, q, out)
+
+    monkeypatch.setattr(core, "_product_codes", recording)
+    bigger = H.extend(g)
+    j = bigger.order // H.order
+    assert j == 3 and bigger.order == 3**9 * 3
+    assert [n * k for n, k in asked if n == H.order] == [(j - 1) * H.order]
+    assert all(n < j for n, _ in asked if n != H.order)  # the powers of g
+
+
+def test_closure_scratch_memory_is_bounded():
+    # K(3) mod 3^5 (531,441 elements) peaks below twice its code array: its
+    # last stage holds H, the result, and a bounded block of scratch
+    gens = reduction_kernel_generators(Modulus(3, 5), 1)
+    group_level(reduction_kernel_generators(Modulus(3, 3), 1))  # lazy imports
+    tracemalloc.start()
+    try:
+        lvl = group_level(gens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lvl.level == 1 and lvl.closure_order == 3**12
+    assert peak <= 2 * 8 * 3**12
 
 
 def test_closure_examples():

@@ -146,3 +146,32 @@ def test_series_kernels_take_no_matrix_products():
             else node.name if isinstance(node, ast.alias) else None) == "mul_columns"
     ]
     assert found == []
+
+
+def _is_call_to(node, name: str) -> bool:
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == name
+
+
+# Every code of a product of closure elements comes from the one blocked
+# kernel ``core._product_codes``; encoding the entry columns of a
+# ``mul_columns`` product would be a second, unbounded path beside it.
+def test_closure_engine_encodes_no_matrix_products():
+    path = next(p for p in SOURCES if p.name == "core.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for func in (n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)):
+        products = {
+            target.id
+            for node in ast.walk(func)
+            if isinstance(node, ast.Assign) and _is_call_to(node.value, "mul_columns")
+            for target in node.targets
+            if isinstance(target, ast.Name)
+        }
+        for node in ast.walk(func):
+            if _is_call_to(node, "_encode") and any(
+                _is_call_to(sub, "mul_columns") or isinstance(sub, ast.Name) and sub.id in products
+                for arg in node.args
+                for sub in ast.walk(arg)
+            ):
+                found.append(f"core.py:{node.lineno} in {func.name}")
+    assert found == []
