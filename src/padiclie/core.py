@@ -623,20 +623,25 @@ def _dimino_codes(
     and a generator list whose earlier members generate H (one Dimino stage).
 
     The result is the union of the right cosets H.t.  Each round multiplies
-    the representatives found in the previous one by every generator; the
-    products outside the known cosets are tested together, each coset keyed
-    by its smallest code, and every new coset joins as one block of |H|
-    codes.  The union of cosets is closed under right multiplication by the
-    generators when no round finds a new one, so it is the whole subgroup.
+    the representatives found in the previous one by every generator and by
+    its inverse; the products outside the known cosets are tested together,
+    each coset keyed by its smallest code, and every new coset joins as one
+    block of |H| codes.  The union of cosets is closed under right
+    multiplication by the generators when no round finds a new one, so it
+    is the whole subgroup.  The inverses add no coset that the generators
+    alone would not reach, but they walk the coset graph both ways, so
+    fewer rounds reach its far side: SL(2, F_13) closes from a Sylow
+    subgroup in 8 rounds instead of 12.
     """
     dtype = h_codes.dtype
-    s = list(zip(*(g.as_tuple() for g in gens)))
+    steps = (*gens, *(mat_inverse(g) for g in gens))
+    s = list(zip(*(g.as_tuple() for g in steps)))
     order_h = len(h_codes)
     chunk = max(1, _BLOCK_CODES // order_h)
     known = _SortedRuns(h_codes)
     frontier = np.array([_encode(1, 0, 0, 1, q)], dtype=dtype)
     while True:
-        cand = np.unique(_product_codes(frontier, s, q, np.empty(len(frontier) * len(gens), dtype)))
+        cand = np.unique(_product_codes(frontier, s, q, np.empty(len(frontier) * len(steps), dtype)))
         cand = cand[known.missing(cand)]
         reps = []
         for lo in range(0, len(cand), chunk):
@@ -822,13 +827,19 @@ class SubgroupClosure:
         return np.unique(_product_codes(h, [x.ravel() for x in reps], q, codes))
 
     def conjugate(self, x: MatP, generators: tuple[MatP, ...]) -> "SubgroupClosure":
-        """The closure of x H x^-1, from one product per element of H and a
-        sort, recorded as generated by ``generators``, which the caller
-        vouches generate x H x^-1."""
+        """The closure of x H x^-1, recorded as generated by ``generators``,
+        which the caller vouches generate x H x^-1.
+
+        When x normalizes H, tested on the generators of H, the result
+        shares H's codes: conjugation is injective, so x H x^-1 inside H
+        with equal orders is equality.  Otherwise it is formed from one
+        product per element of H and a sort."""
         if x.modulus != self.modulus:
             raise ModulusMismatch(f"element lives mod {x.modulus.pN}, closure mod {self.q}")
         if x.det() != 1 % self.q:
             raise ValueError("conjugator has det != 1 mod p^N")
+        if self._normalizes(x):
+            return SubgroupClosure(self.modulus, generators, self._codes)
         q, h = self.q, self._codes
         right = mul_columns(_decode(h, q), mat_inverse(x).as_tuple(), q)  # H x^-1
         codes = _product_codes(np.array([_encode(*x.as_tuple(), q)], h.dtype), right, q, np.empty_like(h))

@@ -18,10 +18,12 @@ gives the argument).
 Over F_p this is Nori's correspondence (Nori, Invent. Math. 88, 1987):
 unipotent-generated subgroups of SL(2, F_p) correspond to nilpotently
 generated Lie subalgebras of sl(2, F_p).  It is the same code at N = 1.
-A subalgebra is a ``LieLattice`` at precision 1, ``liec_bar`` is
-``liec_padic`` and ``grpc_bar`` is ``grpc_padic``; there the logarithm of
-a unipotent u is u - 1 and the exponential of a nilpotent x is 1 + x, the
-truncated series ``log_trunc`` / ``exp_trunc``.  Bracket closure is
+A subalgebra is a ``LieLattice`` at precision 1; ``liec_bar`` spans
+logarithms as ``liec_padic`` does and ``grpc_bar`` closes the points
+``grpc_padic`` closes, reading the series from an ``FpSeriesTable``, which
+holds log and exp over F_p for one prime, evaluated once.  There the
+logarithm of a unipotent u is u - 1 and the exponential of a nilpotent x is
+1 + x, the truncated series ``log_trunc`` / ``exp_trunc``.  Bracket closure is
 checked at precision 1 over F_p and at precision N - 1 above it.  The
 correspondence is only guaranteed for p large; failures at small p are
 recorded as anomalies, never asserted away.
@@ -146,14 +148,68 @@ def h_plus(H: FpSubgroup) -> FpSubgroup:
     return result
 
 
-def liec_bar(H: FpSubgroup) -> LieLattice:
-    """F_p-span of the truncated logarithms of the unipotents of H:
-    ``liec_padic`` at precision 1.
+@dataclass(frozen=True, eq=False)
+class FpSeriesTable:
+    """log and exp over F_p for one prime p >= 5, each series evaluated
+    once: the logarithm of every unipotent of SL(2, F_p), keyed by element
+    code, and the exponential of every nilpotent of sl(2, F_p), keyed by
+    vector code.
+
+    exp is a bijection from the nilpotents onto the unipotents, so the
+    unipotents are the exponentials of the p^2 nilpotents.
+    """
+
+    p: int
+    unipotent_codes: np.ndarray  # sorted element codes
+    logs: tuple[np.ndarray, ...]  # coordinate columns, by unipotent code
+    nilpotent_codes: np.ndarray  # sorted vector codes
+    exps: tuple[np.ndarray, ...]  # entry columns, by nilpotent code
+
+    @classmethod
+    def build(cls, p: int) -> "FpSeriesTable":
+        modulus = Modulus(p, 1)
+        codes = np.arange(p**3)
+        x, y, z = codes // (p * p), codes // p % p, codes % p  # every vector, in code order
+        nilpotent = (y * y + x * z) % p == 0  # det of [[y, x], [z, -y]] is 0
+        v = (x[nilpotent], y[nilpotent], z[nilpotent])
+        exps = exp_extended_columns(vec_to_mat_columns(v, p), modulus)
+        order = np.argsort(element_codes(exps, p))
+        unipotents = tuple(e[order] for e in exps)
+        logs = mat_to_vec_columns(log_extended_columns(unipotents, modulus), p)
+        return cls(p, element_codes(unipotents, p), logs, codes[nilpotent], exps)
+
+    def unipotent_logs(self, codes: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The coordinate columns of the logarithms of the unipotents among
+        the elements with the given codes, in their order."""
+        pos = np.minimum(np.searchsorted(self.unipotent_codes, codes), len(self.unipotent_codes) - 1)
+        pos = pos[self.unipotent_codes[pos] == codes]
+        return tuple(x[pos] for x in self.logs)
+
+    def exp(self, v) -> tuple[np.ndarray, ...]:
+        """The entry columns of the exponentials of the nilpotents with
+        coordinate columns v, residues mod p."""
+        pos = np.searchsorted(self.nilpotent_codes, _vec_codes(v, self.p))
+        return tuple(x[pos] for x in self.exps)
+
+
+def _table_for(p: int, table: FpSeriesTable | None) -> FpSeriesTable:
+    if table is None:
+        return FpSeriesTable.build(p)
+    if table.p != p:
+        raise ModulusMismatch(f"series table is for p = {table.p}, not {p}")
+    return table
+
+
+def liec_bar(H: FpSubgroup, *, table: FpSeriesTable | None = None) -> LieLattice:
+    """F_p-span of the truncated logarithms of the unipotents of H, grown
+    as ``liec_padic`` grows it, with the logarithms read from ``table``
+    (built for H's prime when not given).
 
     The span is expected to be bracket-closed for p large; a failure raises
     a recorded anomaly rather than passing silently.
     """
-    L = liec_padic(H.closure)
+    logs = _table_for(H.p, table).unipotent_logs(H.closure.codes)
+    L = _log_span(logs, H.closure.modulus)
     if bracket_witness(L, 1) is not None:
         raise BracketClosureAnomaly(
             "span of logarithms is not bracket-closed", p=H.p, witness=H.canonical()
@@ -161,14 +217,17 @@ def liec_bar(H: FpSubgroup) -> LieLattice:
     return L
 
 
-def grpc_bar(L: LieLattice) -> FpSubgroup:
+def grpc_bar(L: LieLattice, *, table: FpSeriesTable | None = None) -> FpSubgroup:
     """Subgroup generated by exp of every nilpotent element of L, a lattice
-    at precision 1: ``grpc_padic``, whose stratum at N = 1 is every
-    nilpotent element (all F_p-multiples of nilpotents are again elements
-    of L, so this covers the one-parameter subgroups)."""
+    at precision 1: the points ``grpc_padic`` closes, whose stratum at
+    N = 1 is every nilpotent element (all F_p-multiples of nilpotents are
+    again elements of L, so this covers the one-parameter subgroups), with
+    their exponentials read from ``table`` (built for L's prime when not
+    given)."""
     if L.modulus.N != 1:
         raise PreconditionViolation(f"grpc_bar takes a lattice at precision 1, not {L.modulus.N}")
-    closure = grpc_padic(L)
+    pool = _table_for(L.modulus.p, table).exp(_generating_points(L))
+    closure = SubgroupClosure.trivial(L.modulus).extend_by_pool(pool)
     return FpSubgroup(closure, closure.generators)
 
 
@@ -189,19 +248,19 @@ def enumerate_unipotent_generated(p: int, *, cap: int = DEFAULT_ENUM_CAP) -> lis
     group and one from the first of them to the full group (the tests
     count them).  A unipotent is skipped only when the subgroup it would
     give from H is already known, so each subgroup is still first found by
-    the same pair (H, u), with the same generator record.  The count of
-    subgroups is cross-checked against the classification of subgroups of
-    SL(2, F_p) containing p-elements: the trivial group, the p + 1 Sylow
-    p-subgroups, and the full group, so p + 3 in total.
+    the same pair (H, u), with the same generator record.  Every extension
+    of the first Sylow p-subgroup is SL(2, F_p), which each conjugator
+    normalizes, so ``SubgroupClosure.conjugate`` hands the other Sylow
+    p-subgroups its codes unchanged.  The count of subgroups is
+    cross-checked against the classification of subgroups of SL(2, F_p)
+    containing p-elements: the trivial group, the p + 1 Sylow p-subgroups,
+    and the full group, so p + 3 in total.
+
+    p must be a prime in {5, 7, 11, 13} (``UnsupportedPrime`` below 5 or
+    for a non-prime, ``BudgetExceeded`` above 13), and more than ``cap``
+    subgroups raise ``BudgetExceeded`` with the count reached.
     """
-    try:
-        Modulus(p, 1)
-    except ValueError as exc:
-        raise UnsupportedPrime(f"F_p enumeration needs a prime: {exc}") from None
-    if p < 5:
-        raise UnsupportedPrime("F_p enumeration needs p >= 5")
-    if p > 13:
-        raise BudgetExceeded("enumeration is budgeted for p in {5, 7, 11, 13}")
+    _check_budgeted_prime(p)
     sl2 = sl2_columns(p)
     unip = tuple(x[residually_unipotent_columns(sl2, p)] for x in sl2)
     codes = element_codes(unip, p)
@@ -228,7 +287,9 @@ def enumerate_unipotent_generated(p: int, *, cap: int = DEFAULT_ENUM_CAP) -> lis
                 key = closure.codes.tobytes()
                 if key not in seen:
                     if len(seen) + 1 > cap:
-                        raise BudgetExceeded(f"subgroup count exceeded cap {cap}")
+                        raise BudgetExceeded(
+                            f"subgroup count exceeded cap {cap} (at least {len(seen) + 1} subgroups)"
+                        )
                     extended = FpSubgroup(closure, (*H.generator_record, u))
                     seen[key] = extended
                     nxt.append(extended)
@@ -243,6 +304,18 @@ def enumerate_unipotent_generated(p: int, *, cap: int = DEFAULT_ENUM_CAP) -> lis
             p=p,
         )
     return subgroups
+
+
+def _check_budgeted_prime(p: int) -> None:
+    """The F_p enumerations run for a prime p in {5, 7, 11, 13}."""
+    try:
+        Modulus(p, 1)
+    except ValueError as exc:
+        raise UnsupportedPrime(f"F_p enumeration needs a prime: {exc}") from None
+    if p < 5:
+        raise UnsupportedPrime("F_p enumeration needs p >= 5")
+    if p > 13:
+        raise BudgetExceeded("enumeration is budgeted for p in {5, 7, 11, 13}")
 
 
 def _column_mat(cols: tuple[np.ndarray, ...], i: int, modulus: Modulus) -> MatP:
@@ -278,15 +351,24 @@ def _swept(
 def _conjugator(H0: FpSubgroup, H: FpSubgroup, sl2: tuple[np.ndarray, ...]) -> MatP | None:
     """The first x in ``sl2_columns`` order with x H0 x^-1 = H, or None.
     H0 and H have equal order, so x H0 x^-1 inside H, tested on the
-    generators of H0, is equality."""
-    p = H.p
-    inverse = inverse_columns(sl2, p)
-    hit = np.ones(len(sl2[0]), dtype=bool)
-    for g in H0.closure.generators:
-        conjugates = mul_columns(mul_columns(sl2, g.as_tuple(), p), inverse, p)
-        hit &= H.closure.contains_columns(*conjugates)
-    hits = np.flatnonzero(hit)
-    return _column_mat(sl2, hits[0], H.closure.modulus) if hits.size else None
+    generators of H0, is equality.  The candidates are tested in blocks of
+    64, each four times the last, up to the first block with a hit: between
+    conjugate Sylow p-subgroups that is the first block, not all p^3 - p
+    elements."""
+    p, n = H.p, len(sl2[0])
+    lo, size = 0, 64
+    while lo < n:
+        block = tuple(x[lo:lo + size] for x in sl2)
+        inverse = inverse_columns(block, p)
+        hit = np.ones(len(block[0]), dtype=bool)
+        for g in H0.closure.generators:
+            conjugates = mul_columns(mul_columns(block, g.as_tuple(), p), inverse, p)
+            hit &= H.closure.contains_columns(*conjugates)
+        hits = np.flatnonzero(hit)
+        if hits.size:
+            return _column_mat(block, hits[0], H.closure.modulus)
+        lo, size = lo + size, 4 * size
+    return None
 
 
 def _transported(
@@ -332,8 +414,10 @@ def enumerate_nilpotently_generated(p: int) -> list[LieLattice]:
     1 + k (p - 1) nilpotent points, and a plane span(u, v) is bracket-closed
     only if det(u, v, [u, v]) = 0 mod p; only a subspace passing both
     becomes a lattice, whose bracket closure is checked and which is
-    compared with the lattice its nilpotent points span.
+    compared with the lattice its nilpotent points span.  p is validated
+    as in ``enumerate_unipotent_generated``.
     """
+    _check_budgeted_prime(p)
     modulus = Modulus(p, 1)
     out = []
     for k, group in groupby(_all_subspaces(p), key=len):
@@ -490,12 +574,19 @@ def grpc_padic(L: LieLattice, *, cap: int = DEFAULT_CLOSURE_CAP) -> SubgroupClos
     modulus = L.modulus
     if modulus.p < 5:
         raise UnsupportedPrime("precision-N correspondence needs p >= 5")
+    v = _generating_points(L)
+    pool = exp_extended_columns(vec_to_mat_columns(v, modulus.pN), modulus)
+    return SubgroupClosure.trivial(modulus).extend_by_pool(pool, cap=cap)
+
+
+def _generating_points(L: LieLattice) -> tuple[np.ndarray, ...]:
+    """``grpc_padic``'s generating points as coordinate columns:
+    ``resnilp_stratum(L)`` followed by the adapted generators of
+    L cap p sl2."""
     stratum = resnilp_stratum(L)
     inner = L.intersect_scaled_ambient(1).generators
     deep = np.array(inner, dtype=stratum[0].dtype).reshape(len(inner), 3)
-    v = tuple(np.concatenate(col) for col in zip(stratum, deep.T))
-    pool = exp_extended_columns(vec_to_mat_columns(v, modulus.pN), modulus)
-    return SubgroupClosure.trivial(modulus).extend_by_pool(pool, cap=cap)
+    return tuple(np.concatenate(col) for col in zip(stratum, deep.T))
 
 
 # ---------------------------------------------------------------------------
@@ -530,21 +621,28 @@ class RoundtripReport:
 
 
 def roundtrip_check_fp(p: int) -> RoundtripReport:
-    """Verify both round trips over F_p on the full enumerations."""
+    """Verify both round trips over F_p on the full enumerations.
+
+    Each subgroup's lattice and each lattice's subgroup is formed once, and
+    every ``liec_bar`` and ``grpc_bar`` call reads one ``FpSeriesTable``:
+    ``log_extended_columns`` runs once, over the unipotents of SL(2, F_p),
+    and ``exp_extended_columns`` once, over the nilpotents of sl(2, F_p).
+    """
     report = RoundtripReport(p=p)
     try:
         subgroups = enumerate_unipotent_generated(p)
     except BracketClosureAnomaly as exc:
         report.anomalies.append(str(exc))
         return report
+    table = FpSeriesTable.build(p)
     report.subgroup_count = len(subgroups)
     closed: dict[LieLattice, FpSubgroup] = {}  # grpc_bar(L) by L
-    # liec_bar(H) by the code bytes of H: liec_padic reads only the elements
+    # liec_bar(H) by the code bytes of H: liec_bar reads only the elements
     lattices: dict[bytes, LieLattice] = {}
     for H in subgroups:
         try:
-            L = lattices[H.closure.codes.tobytes()] = liec_bar(H)
-            back = closed[L] = grpc_bar(L)
+            L = lattices[H.closure.codes.tobytes()] = liec_bar(H, table=table)
+            back = closed[L] = grpc_bar(L, table=table)
         except BracketClosureAnomaly as exc:
             report.anomalies.append(str(exc))
             continue
@@ -561,9 +659,9 @@ def roundtrip_check_fp(p: int) -> RoundtripReport:
     report.algebra_count = len(algebras)
     for L in algebras:
         try:
-            back = closed[L] if L in closed else grpc_bar(L)
+            back = closed[L] if L in closed else grpc_bar(L, table=table)
             key = back.closure.codes.tobytes()
-            back_l = lattices[key] if key in lattices else liec_bar(back)
+            back_l = lattices[key] if key in lattices else liec_bar(back, table=table)
         except BracketClosureAnomaly as exc:
             report.anomalies.append(str(exc))
             continue

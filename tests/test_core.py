@@ -331,6 +331,37 @@ def test_conjugate_matches_closing_the_conjugated_generators():
         H.conjugate(MatP.identity(Modulus(7, 1)), ())
 
 
+def test_conjugate_by_a_normalizer_shares_the_codes(monkeypatch):
+    # x H x^-1 = H when x normalizes H: the closure keeps H's codes under the
+    # new generator record, forms no product code, and equals the product path
+    cases = []
+    for m in (Modulus(7, 1), Modulus(3, 2), Modulus(46349, 1)):
+        u, minus = MatP.of([[1, 1], [0, 1]], m), MatP.of([[-1, 0], [0, -1]], m)
+        borel_unipotent = closure_of_generators([u, minus])
+        cases += [(borel_unipotent, MatP.of([[2, 5], [0, pow(2, -1, m.pN)]], m)), (borel_unipotent, u)]
+    m = Modulus(5, 1)
+    full = closure_of_generators([MatP.of([[1, 1], [0, 1]], m), MatP.of([[1, 0], [1, 1]], m)])
+    cases.append((full, random_sl2(random.Random(7), m)))
+    cases.append((SubgroupClosure.trivial(m), random_sl2(random.Random(8), m)))
+    expected = []
+    for H, x in cases:
+        gens = tuple(x @ g @ mat_inverse(x) for g in H.generators)
+        with mock.patch.object(SubgroupClosure, "_normalizes", lambda self, g: False):
+            expected.append(H.conjugate(x, gens))
+
+    def refuse(*args):
+        raise AssertionError("product codes formed")
+
+    monkeypatch.setattr(core, "_product_codes", refuse)
+    for (H, x), product_path in zip(cases, expected):
+        gens = tuple(x @ g @ mat_inverse(x) for g in H.generators)
+        conjugated = H.conjugate(x, gens)
+        assert conjugated.generators == gens
+        assert np.shares_memory(conjugated.codes, H.codes)
+        assert np.array_equal(conjugated.codes, product_path.codes)
+        assert product_path.generators == gens
+
+
 def _extension_cases():
     """(H, g) with g outside H: K(p) pairs (nilpotent); Sylow subgroups of
     SL(2, F_p) extended by unipotents outside their Borel subgroup, and
@@ -380,6 +411,36 @@ def test_nilpotent_pair_closes_without_dimino_rounds(monkeypatch):
 
     monkeypatch.setattr(core, "_dimino_codes", refuse)
     assert group_level(gens).closure_order == 7**5
+
+
+def _dimino_cases():
+    """Seeded generator sets of one to three elements, with the subgroup H
+    that all but the last generate, at int64 and F_p moduli."""
+    cases = []
+    for p, N in ((5, 1), (7, 1), (13, 1), (3, 3)):
+        m = Modulus(p, N)
+        rng = random.Random(f"dimino-{p}-{N}")
+        for size in (1, 2, 3, 3):
+            gens = [random_sl2(rng, m) for _ in range(size)]
+            cases.append(pytest.param(m, gens, id=f"{p}-{N}-{len(cases) % 4}"))
+    return cases
+
+
+@pytest.mark.parametrize("m, gens", _dimino_cases())
+def test_dimino_stage_matches_oracle(m, gens):
+    # one stage from the trivial group, and one from the closure of all but
+    # the last generator, give the breadth-first closure
+    q = m.pN
+    oracle = sorted(_closure_python(q, _tuples(gens), 10**6))
+    trivial = SubgroupClosure.trivial(m).codes
+    H = closure_of_pool(gens[:-1], m)
+    for h_codes in (trivial, H.codes):
+        codes = core._dimino_codes(h_codes, (*H.generators, *gens), q, 10**6)
+        assert list(core._iter_tuples(codes, q)) == oracle
+    order = len(oracle)
+    assert len(core._dimino_codes(trivial, gens, q, order)) == order
+    with pytest.raises(ClosureBudgetExceeded):
+        core._dimino_codes(trivial, gens, q, order - 1)
 
 
 def _random_code_set(rng, q, size):

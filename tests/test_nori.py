@@ -24,13 +24,16 @@ from padiclie import (
     roundtrip_check_padic,
     unipotent_elements,
 )
-from padiclie import explog, nori
+from padiclie import core, explog, nori
 from padiclie.core import (
     SubgroupClosure,
     closure_of_pool,
+    element_codes,
     in_principal_congruence,
     in_principal_congruence_columns,
+    inverse_columns,
     mat_inverse,
+    mul_columns,
     reduction_kernel_generators,
     residually_nilpotent,
     residually_nilpotent_columns,
@@ -56,6 +59,7 @@ from padiclie.lattice import (
     vec_to_mat_columns,
 )
 from padiclie.nori import (
+    FpSeriesTable,
     _resunip_logs,
     enumerate_nilpotently_generated,
     resnilp_stratum,
@@ -261,6 +265,51 @@ def test_conjugator_matches_brute_force():
     assert outcomes == {True, False}
 
 
+def _conjugator_by_element_sets(H0, H, p):
+    """The first x in sl2_columns order whose conjugate of every element of
+    H0 gives the elements of H, over all of SL(2, F_p) at once."""
+    sl2 = sl2_columns(p)
+    xs = tuple(x[:, None] for x in sl2)
+    conjugates = mul_columns(mul_columns(xs, H0.closure.columns(), p), inverse_columns(xs, p), p)
+    codes = element_codes(tuple(c.ravel() for c in conjugates), p).reshape(len(sl2[0]), -1)
+    hits = np.flatnonzero((np.sort(codes, axis=1) == H.closure.codes).all(axis=1))
+    return nori._column_mat(sl2, hits[0], Modulus(p, 1)) if hits.size else None
+
+
+def _inverting(y, sl2, p):
+    """[the first x with x y x^-1 = y^-1], or [] when y is not conjugate to
+    its inverse."""
+    conjugates = mul_columns(mul_columns(sl2, y.as_tuple(), p), inverse_columns(sl2, p), p)
+    target = mat_inverse(y).as_tuple()
+    hits = np.flatnonzero(np.all([c == t for c, t in zip(conjugates, target)], axis=0))
+    return [nori._column_mat(sl2, hits[0], y.modulus)] if hits.size else []
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_conjugator_block_scan_matches_brute_force(p):
+    # every pair of distinct equal-order subgroups among seeded cyclic groups
+    # <y> and dicyclic groups <y, x> with x y x^-1 = y^-1; at p >= 7 some
+    # pairs are not conjugate (C8 and Q8, C12 and Dic3), while in SL(2, F_5)
+    # subgroups of equal order are conjugate
+    rng, m = random.Random(f"conjugator-{p}"), Modulus(p, 1)
+    sl2 = sl2_columns(p)
+    by_order = {}
+    for _ in range(30):
+        y = nori._column_mat(sl2, rng.randrange(len(sl2[0])), m)
+        for gens in ([y], [y, *_inverting(y, sl2, p)]):
+            H = FpSubgroup.generated_by(p, gens)
+            if H.order <= 48:
+                by_order.setdefault(H.order, {})[H.closure.codes.tobytes()] = H
+    outcomes = set()
+    for groups in by_order.values():
+        for H0, H in product(groups.values(), repeat=2):
+            if H0 is not H:
+                x = nori._conjugator(H0, H, sl2)
+                assert x == _conjugator_by_element_sets(H0, H, p)
+                outcomes.add(x is None)
+    assert outcomes == ({False} if p == 5 else {True, False})
+
+
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
 def test_enumeration_sort_key_is_canonical_order(p):
     # codes order like (a, b, c, d) tuples, as every entry lies in [0, p)
@@ -277,6 +326,51 @@ def test_enumerate_unipotent_generated_rejects_bad_primes():
             enumerate_unipotent_generated(p)
     with pytest.raises(BudgetExceeded):
         enumerate_unipotent_generated(17)
+
+
+@pytest.mark.parametrize("p, error", [
+    (2, UnsupportedPrime), (3, UnsupportedPrime), (4, UnsupportedPrime), (17, BudgetExceeded),
+])
+def test_enumerate_nilpotently_generated_rejects_bad_primes(p, error):
+    # the same primes as enumerate_unipotent_generated
+    with pytest.raises(error):
+        enumerate_nilpotently_generated(p)
+    with pytest.raises(error):
+        enumerate_unipotent_generated(p)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_enumerate_unipotent_generated_budget_message_carries_the_count(p):
+    with pytest.raises(BudgetExceeded, match=rf"cap {p + 2} \(at least {p + 3} subgroups\)"):
+        enumerate_unipotent_generated(p, cap=p + 2)
+    assert len(enumerate_unipotent_generated(p, cap=p + 3)) == p + 3
+
+
+@pytest.mark.parametrize("p, rounds", [(5, 5), (7, 6), (11, 7), (13, 8)])
+def test_enumeration_closes_sl2_in_few_dimino_rounds(p, rounds, monkeypatch):
+    # the one Dimino stage, from the first Sylow p-subgroup to SL(2, F_p),
+    # walks the coset graph with the generators and their inverses: 5, 6, 7
+    # and 8 rounds (7, 10, 11 and 12 with the generators alone)
+    stages = []
+    dimino, product_codes = core._dimino_codes, core._product_codes
+
+    def recording(h_codes, gens, q, cap):
+        frontiers = []
+
+        def products(x_codes, reps, q, out):
+            if x_codes is not h_codes:  # a round's products, not a coset
+                frontiers.append(len(x_codes))
+            return product_codes(x_codes, reps, q, out)
+
+        monkeypatch.setattr(core, "_product_codes", products)
+        codes = dimino(h_codes, gens, q, cap)
+        monkeypatch.setattr(core, "_product_codes", product_codes)
+        stages.append((len(h_codes), len(codes), len(frontiers)))
+        return codes
+
+    monkeypatch.setattr(core, "_dimino_codes", recording)
+    enumerate_unipotent_generated(p)
+    assert stages == [(p, p * (p * p - 1), rounds)]
 
 
 def test_nilpotently_generated_enumeration():
@@ -314,7 +408,7 @@ def test_roundtrip_fp_and_smallest_prime():
 def test_roundtrip_fp_failure_records_are_json(monkeypatch):
     # a grpc_bar that returns the trivial group fails both directions; the
     # group failure's witness is its generator record as matrix literals
-    monkeypatch.setattr(nori, "grpc_bar", lambda L: FpSubgroup.trivial(L.modulus.p))
+    monkeypatch.setattr(nori, "grpc_bar", lambda L, **kwargs: FpSubgroup.trivial(L.modulus.p))
     rep = roundtrip_check_fp(5)
     groups = [f["witness"] for f in rep.failures if f["direction"] == "group"]
     nontrivial = [H for H in enumerate_unipotent_generated(5) if H.order > 1]
@@ -326,9 +420,9 @@ def test_roundtrip_fp_reuses_group_lattices(monkeypatch):
     # the algebra loop reads liec_bar of each subgroup the group loop met
     calls = []
 
-    def counting(H):
+    def counting(H, **kwargs):
         calls.append(H.order)
-        return liec_bar(H)
+        return liec_bar(H, **kwargs)
 
     monkeypatch.setattr(nori, "liec_bar", counting)
     rep = roundtrip_check_fp(7)
@@ -346,14 +440,58 @@ def test_roundtrip_fp_reuses_group_lattices(monkeypatch):
 def test_roundtrip_fp_closes_each_algebra_once(monkeypatch):
     calls = []
 
-    def counting(L):
+    def counting(L, **kwargs):
         calls.append(L.basis)
-        return grpc_bar(L)
+        return grpc_bar(L, **kwargs)
 
     monkeypatch.setattr(nori, "grpc_bar", counting)
     rep = roundtrip_check_fp(7)
     assert rep.passed and rep.checked == 20
     assert len(calls) == len(set(calls)) == 10
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_roundtrip_fp_evaluates_each_series_once(p, monkeypatch):
+    calls = []
+    for name in ("log_extended_columns", "exp_extended_columns"):
+        def counting(cols, modulus, _name=name, _series=getattr(nori, name)):
+            calls.append(_name)
+            return _series(cols, modulus)
+
+        monkeypatch.setattr(nori, name, counting)
+    rep = roundtrip_check_fp(p)
+    assert rep.passed and rep.checked == 2 * (p + 3)
+    assert sorted(calls) == ["exp_extended_columns", "log_extended_columns"]
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_table_read_maps_match_lone_calls(p):
+    # liec_bar and grpc_bar reading one table equal their lone calls, which
+    # build their own, and the precision-N maps they share code with
+    table = FpSeriesTable.build(p)
+    lattices = []
+    borel = _generated_by(p, [(1, 1, 0, 1), (2, 0, 0, pow(2, -1, p))])  # not all unipotent
+    for H in [*enumerate_unipotent_generated(p), borel]:
+        L = liec_bar(H, table=table)
+        assert L == liec_bar(H) == liec_padic(H.closure)
+        lattices.append(L)
+    for L in [*lattices, *enumerate_nilpotently_generated(p)]:
+        read, lone, padic = grpc_bar(L, table=table), grpc_bar(L), grpc_padic(L)
+        assert np.array_equal(read.closure.codes, lone.closure.codes)
+        assert np.array_equal(read.closure.codes, padic.codes)
+        assert read.closure.generators == lone.closure.generators == padic.generators
+        assert read.generator_record == lone.generator_record == padic.generators
+
+
+def test_series_table_is_for_one_prime():
+    table = FpSeriesTable.build(7)
+    assert len(table.unipotent_codes) == len(table.nilpotent_codes) == 49
+    with pytest.raises(ModulusMismatch):
+        liec_bar(_cyclic(5, (1, 1, 0, 1)), table=table)
+    with pytest.raises(ModulusMismatch):
+        grpc_bar(LieLattice.from_columns([(1, 0, 0)], Modulus(5, 1)), table=table)
+    with pytest.raises(UnsupportedPrime):
+        FpSeriesTable.build(3)
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
