@@ -61,7 +61,6 @@ from .approx import (
     worst_case_subalgebra,
 )
 from .nori import (
-    FpSeriesTable,
     FpSubgroup,
     enumerate_unipotent_generated,
     grpc_bar,

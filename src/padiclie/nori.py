@@ -20,10 +20,10 @@ unipotent-generated subgroups of SL(2, F_p) correspond to nilpotently
 generated Lie subalgebras of sl(2, F_p).  It is the same code at N = 1.
 A subalgebra is a ``LieLattice`` at precision 1; ``liec_bar`` spans
 logarithms as ``liec_padic`` does and ``grpc_bar`` closes the points
-``grpc_padic`` closes, reading the series from an ``FpSeriesTable``, which
-holds log and exp over F_p for one prime, evaluated once.  There the
-logarithm of a unipotent u is u - 1 and the exponential of a nilpotent x is
-1 + x, the truncated series ``log_trunc`` / ``exp_trunc``.  Bracket closure is
+``grpc_padic`` closes, reading the series from a table that holds log and
+exp over F_p for one prime, evaluated once.  There the logarithm of a
+unipotent u is u - 1 and the exponential of a nilpotent x is 1 + x, the
+truncated series ``log_trunc`` / ``exp_trunc``.  Bracket closure is
 checked at precision 1 over F_p and at precision N - 1 above it.  The
 correspondence is only guaranteed for p large; failures at small p are
 recorded as anomalies, never asserted away.
@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import groupby, product
+from functools import lru_cache
 from math import prod
 from typing import Iterable, Iterator, Sequence
 
@@ -149,34 +150,16 @@ def h_plus(H: FpSubgroup) -> FpSubgroup:
 
 
 @dataclass(frozen=True, eq=False)
-class FpSeriesTable:
-    """log and exp over F_p for one prime p >= 5, each series evaluated
-    once: the logarithm of every unipotent of SL(2, F_p), keyed by element
-    code, and the exponential of every nilpotent of sl(2, F_p), keyed by
-    vector code.
-
-    exp is a bijection from the nilpotents onto the unipotents, so the
-    unipotents are the exponentials of the p^2 nilpotents.
-    """
+class _SeriesTable:
+    """log and exp over F_p for one prime p: the logarithm of every
+    unipotent of SL(2, F_p), keyed by element code, and the exponential of
+    every nilpotent of sl(2, F_p), keyed by vector code."""
 
     p: int
     unipotent_codes: np.ndarray  # sorted element codes
     logs: tuple[np.ndarray, ...]  # coordinate columns, by unipotent code
     nilpotent_codes: np.ndarray  # sorted vector codes
     exps: tuple[np.ndarray, ...]  # entry columns, by nilpotent code
-
-    @classmethod
-    def build(cls, p: int) -> "FpSeriesTable":
-        modulus = Modulus(p, 1)
-        codes = np.arange(p**3)
-        x, y, z = codes // (p * p), codes // p % p, codes % p  # every vector, in code order
-        nilpotent = (y * y + x * z) % p == 0  # det of [[y, x], [z, -y]] is 0
-        v = (x[nilpotent], y[nilpotent], z[nilpotent])
-        exps = exp_extended_columns(vec_to_mat_columns(v, p), modulus)
-        order = np.argsort(element_codes(exps, p))
-        unipotents = tuple(e[order] for e in exps)
-        logs = mat_to_vec_columns(log_extended_columns(unipotents, modulus), p)
-        return cls(p, element_codes(unipotents, p), logs, codes[nilpotent], exps)
 
     def unipotent_logs(self, codes: np.ndarray) -> tuple[np.ndarray, ...]:
         """The coordinate columns of the logarithms of the unipotents among
@@ -187,28 +170,48 @@ class FpSeriesTable:
 
     def exp(self, v) -> tuple[np.ndarray, ...]:
         """The entry columns of the exponentials of the nilpotents with
-        coordinate columns v, residues mod p."""
-        pos = np.searchsorted(self.nilpotent_codes, _vec_codes(v, self.p))
+        coordinate columns v, refusing (``ValueError``) a point that is not
+        nilpotent or whose coordinates are not residues in [0, p): its code
+        would name another point."""
+        v = as_columns(v, self.p**3)
+        codes = _vec_codes(v, self.p)
+        pos = np.minimum(np.searchsorted(self.nilpotent_codes, codes), len(self.nilpotent_codes) - 1)
+        reduced = all(x.size == 0 or (x.min() >= 0 and x.max() < self.p) for x in v)
+        if not (reduced and np.array_equal(self.nilpotent_codes[pos], codes)):
+            raise ValueError(f"exp is tabulated on the reduced nilpotents of sl(2, F_{self.p}) only")
         return tuple(x[pos] for x in self.exps)
 
 
-def _table_for(p: int, table: FpSeriesTable | None) -> FpSeriesTable:
-    if table is None:
-        return FpSeriesTable.build(p)
-    if table.p != p:
-        raise ModulusMismatch(f"series table is for p = {table.p}, not {p}")
+@lru_cache(maxsize=None)
+def _series_table(p: int) -> _SeriesTable:
+    """The ``_SeriesTable`` for p, from one ``exp_extended_columns`` call on
+    the p^2 nilpotents of sl(2, F_p) and one ``log_extended_columns`` call
+    on their images, which are the unipotents of SL(2, F_p) (exp is a
+    bijection between the two)."""
+    modulus = Modulus(p, 1)
+    codes = np.arange(p**3)
+    x, y, z = codes // (p * p), codes // p % p, codes % p  # every vector, in code order
+    nilpotent = (y * y + x * z) % p == 0  # det of [[y, x], [z, -y]] is 0
+    v = (x[nilpotent], y[nilpotent], z[nilpotent])
+    exps = exp_extended_columns(vec_to_mat_columns(v, p), modulus)
+    order = np.argsort(element_codes(exps, p))
+    unipotents = tuple(e[order] for e in exps)
+    logs = mat_to_vec_columns(log_extended_columns(unipotents, modulus), p)
+    table = _SeriesTable(p, element_codes(unipotents, p), logs, codes[nilpotent], exps)
+    for column in (table.unipotent_codes, *table.logs, table.nilpotent_codes, *table.exps):
+        column.flags.writeable = False
     return table
 
 
-def liec_bar(H: FpSubgroup, *, table: FpSeriesTable | None = None) -> LieLattice:
+def liec_bar(H: FpSubgroup) -> LieLattice:
     """F_p-span of the truncated logarithms of the unipotents of H, grown
-    as ``liec_padic`` grows it, with the logarithms read from ``table``
-    (built for H's prime when not given).
+    as ``liec_padic`` grows it, with the logarithms read from the series
+    table for H's prime.
 
     The span is expected to be bracket-closed for p large; a failure raises
     a recorded anomaly rather than passing silently.
     """
-    logs = _table_for(H.p, table).unipotent_logs(H.closure.codes)
+    logs = _series_table(H.p).unipotent_logs(H.closure.codes)
     L = _log_span(logs, H.closure.modulus)
     if bracket_witness(L, 1) is not None:
         raise BracketClosureAnomaly(
@@ -217,16 +220,15 @@ def liec_bar(H: FpSubgroup, *, table: FpSeriesTable | None = None) -> LieLattice
     return L
 
 
-def grpc_bar(L: LieLattice, *, table: FpSeriesTable | None = None) -> FpSubgroup:
+def grpc_bar(L: LieLattice) -> FpSubgroup:
     """Subgroup generated by exp of every nilpotent element of L, a lattice
     at precision 1: the points ``grpc_padic`` closes, whose stratum at
     N = 1 is every nilpotent element (all F_p-multiples of nilpotents are
     again elements of L, so this covers the one-parameter subgroups), with
-    their exponentials read from ``table`` (built for L's prime when not
-    given)."""
+    their exponentials read from the series table for L's prime."""
     if L.modulus.N != 1:
         raise PreconditionViolation(f"grpc_bar takes a lattice at precision 1, not {L.modulus.N}")
-    pool = _table_for(L.modulus.p, table).exp(_generating_points(L))
+    pool = _series_table(L.modulus.p).exp(_generating_points(L))
     closure = SubgroupClosure.trivial(L.modulus).extend_by_pool(pool)
     return FpSubgroup(closure, closure.generators)
 
@@ -624,9 +626,10 @@ def roundtrip_check_fp(p: int) -> RoundtripReport:
     """Verify both round trips over F_p on the full enumerations.
 
     Each subgroup's lattice and each lattice's subgroup is formed once, and
-    every ``liec_bar`` and ``grpc_bar`` call reads one ``FpSeriesTable``:
-    ``log_extended_columns`` runs once, over the unipotents of SL(2, F_p),
-    and ``exp_extended_columns`` once, over the nilpotents of sl(2, F_p).
+    every ``liec_bar`` and ``grpc_bar`` call reads the one series table for
+    p: ``log_extended_columns`` runs once, over the unipotents of
+    SL(2, F_p), and ``exp_extended_columns`` once, over the nilpotents of
+    sl(2, F_p), the first time a prime is met.
     """
     report = RoundtripReport(p=p)
     try:
@@ -634,15 +637,14 @@ def roundtrip_check_fp(p: int) -> RoundtripReport:
     except BracketClosureAnomaly as exc:
         report.anomalies.append(str(exc))
         return report
-    table = FpSeriesTable.build(p)
     report.subgroup_count = len(subgroups)
     closed: dict[LieLattice, FpSubgroup] = {}  # grpc_bar(L) by L
     # liec_bar(H) by the code bytes of H: liec_bar reads only the elements
     lattices: dict[bytes, LieLattice] = {}
     for H in subgroups:
         try:
-            L = lattices[H.closure.codes.tobytes()] = liec_bar(H, table=table)
-            back = closed[L] = grpc_bar(L, table=table)
+            L = lattices[H.closure.codes.tobytes()] = liec_bar(H)
+            back = closed[L] = grpc_bar(L)
         except BracketClosureAnomaly as exc:
             report.anomalies.append(str(exc))
             continue
@@ -659,9 +661,9 @@ def roundtrip_check_fp(p: int) -> RoundtripReport:
     report.algebra_count = len(algebras)
     for L in algebras:
         try:
-            back = closed[L] if L in closed else grpc_bar(L, table=table)
+            back = closed[L] if L in closed else grpc_bar(L)
             key = back.closure.codes.tobytes()
-            back_l = lattices[key] if key in lattices else liec_bar(back, table=table)
+            back_l = lattices[key] if key in lattices else liec_bar(back)
         except BracketClosureAnomaly as exc:
             report.anomalies.append(str(exc))
             continue

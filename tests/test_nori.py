@@ -59,7 +59,6 @@ from padiclie.lattice import (
     vec_to_mat_columns,
 )
 from padiclie.nori import (
-    FpSeriesTable,
     _resunip_logs,
     enumerate_nilpotently_generated,
     resnilp_stratum,
@@ -408,7 +407,7 @@ def test_roundtrip_fp_and_smallest_prime():
 def test_roundtrip_fp_failure_records_are_json(monkeypatch):
     # a grpc_bar that returns the trivial group fails both directions; the
     # group failure's witness is its generator record as matrix literals
-    monkeypatch.setattr(nori, "grpc_bar", lambda L, **kwargs: FpSubgroup.trivial(L.modulus.p))
+    monkeypatch.setattr(nori, "grpc_bar", lambda L: FpSubgroup.trivial(L.modulus.p))
     rep = roundtrip_check_fp(5)
     groups = [f["witness"] for f in rep.failures if f["direction"] == "group"]
     nontrivial = [H for H in enumerate_unipotent_generated(5) if H.order > 1]
@@ -420,9 +419,9 @@ def test_roundtrip_fp_reuses_group_lattices(monkeypatch):
     # the algebra loop reads liec_bar of each subgroup the group loop met
     calls = []
 
-    def counting(H, **kwargs):
+    def counting(H):
         calls.append(H.order)
-        return liec_bar(H, **kwargs)
+        return liec_bar(H)
 
     monkeypatch.setattr(nori, "liec_bar", counting)
     rep = roundtrip_check_fp(7)
@@ -440,9 +439,9 @@ def test_roundtrip_fp_reuses_group_lattices(monkeypatch):
 def test_roundtrip_fp_closes_each_algebra_once(monkeypatch):
     calls = []
 
-    def counting(L, **kwargs):
+    def counting(L):
         calls.append(L.basis)
-        return grpc_bar(L, **kwargs)
+        return grpc_bar(L)
 
     monkeypatch.setattr(nori, "grpc_bar", counting)
     rep = roundtrip_check_fp(7)
@@ -459,39 +458,39 @@ def test_roundtrip_fp_evaluates_each_series_once(p, monkeypatch):
             return _series(cols, modulus)
 
         monkeypatch.setattr(nori, name, counting)
+    nori._series_table.cache_clear()
     rep = roundtrip_check_fp(p)
     assert rep.passed and rep.checked == 2 * (p + 3)
     assert sorted(calls) == ["exp_extended_columns", "log_extended_columns"]
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
-def test_table_read_maps_match_lone_calls(p):
-    # liec_bar and grpc_bar reading one table equal their lone calls, which
-    # build their own, and the precision-N maps they share code with
-    table = FpSeriesTable.build(p)
+def test_table_read_maps_match_precision_n_maps(p):
+    # liec_bar and grpc_bar read the series table; they equal liec_padic
+    # and grpc_padic, which evaluate the series on their own elements
     lattices = []
     borel = _generated_by(p, [(1, 1, 0, 1), (2, 0, 0, pow(2, -1, p))])  # not all unipotent
     for H in [*enumerate_unipotent_generated(p), borel]:
-        L = liec_bar(H, table=table)
-        assert L == liec_bar(H) == liec_padic(H.closure)
+        L = liec_bar(H)
+        assert L == liec_padic(H.closure)
         lattices.append(L)
     for L in [*lattices, *enumerate_nilpotently_generated(p)]:
-        read, lone, padic = grpc_bar(L, table=table), grpc_bar(L), grpc_padic(L)
-        assert np.array_equal(read.closure.codes, lone.closure.codes)
+        read, padic = grpc_bar(L), grpc_padic(L)
         assert np.array_equal(read.closure.codes, padic.codes)
-        assert read.closure.generators == lone.closure.generators == padic.generators
-        assert read.generator_record == lone.generator_record == padic.generators
+        assert read.closure.generators == read.generator_record == padic.generators
 
 
-def test_series_table_is_for_one_prime():
-    table = FpSeriesTable.build(7)
+def test_series_table_refuses_points_it_does_not_hold():
+    table = nori._series_table(7)
     assert len(table.unipotent_codes) == len(table.nilpotent_codes) == 49
-    with pytest.raises(ModulusMismatch):
-        liec_bar(_cyclic(5, (1, 1, 0, 1)), table=table)
-    with pytest.raises(ModulusMismatch):
-        grpc_bar(LieLattice.from_columns([(1, 0, 0)], Modulus(5, 1)), table=table)
+    nilpotent = (np.array([1, 0]), np.array([0, 0]), np.array([0, 1]))
+    assert [tuple(map(int, e)) for e in zip(*table.exp(nilpotent))] == [(1, 1, 0, 1), (1, 0, 1, 1)]
+    # not nilpotent, past the last code, and (0, 7, 0), whose code is that of (1, 0, 0)
+    for v in [(1, 0, 1), (0, 1, 0), (7, 0, 0), (0, 7, 0), (0, -1, 0)]:
+        with pytest.raises(ValueError):
+            table.exp(tuple(np.array([x]) for x in v))
     with pytest.raises(UnsupportedPrime):
-        FpSeriesTable.build(3)
+        nori._series_table(3)
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
