@@ -263,8 +263,12 @@ def lift_quadric(point: AnnihilatorPoint, congruence_exponent: int) -> Annihilat
 # ---------------------------------------------------------------------------
 
 
+# The splitting constant c that ``approximate_sl2`` selects r with.
+_SPLITTING_CONSTANT = Fraction(1, 4)
+
+
 def select_r(
-    divisors: Sequence[int], c_constant: Fraction = Fraction(1, 4)
+    divisors: Sequence[int], c_constant: Fraction = _SPLITTING_CONSTANT
 ) -> tuple[int, int]:
     """The maximal 1-based index r with a_r < c * a_{r+1} (0 when none) and
     the guaranteed exponent nu = ceil((1 - 2c) c^(d-r-1) n), n = a_d.
@@ -332,7 +336,6 @@ def _guaranteed_exponent(p: int, n: int) -> int:
 def approximate_sl2(
     M: LieLattice,
     *,
-    c_constant: Fraction = Fraction(1, 4),
     allow_p2: bool = False,
 ) -> ApproxResult:
     """Approximate an exact subalgebra M of level p^n by a proper isolated
@@ -363,7 +366,7 @@ def approximate_sl2(
         raise UnsupportedPrecision(f"need N >= n + 2 precision headroom, got N = {N}")
 
     a1, a2, _ = M.divisors
-    trace = (*select_r(M.divisors, c_constant), c_constant)
+    trace = (*select_r(M.divisors), _SPLITTING_CONSTANT)
     floor_m = _guaranteed_exponent(p, n)
 
     threshold = Fraction(n, 2) if p != 2 else Fraction(n, 2) - 1

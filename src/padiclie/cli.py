@@ -1,10 +1,13 @@
 """Command-line front end: subcommand dispatch, sweep orchestration, and
 report emission.
 
-Exit codes: 0 all assertions passed, 1 an assertion failed, 2 config
-error, 3 a budget was exceeded.  Small-prime correspondence anomalies are
-reported as warnings, not failures.  A broken internal invariant
-(``InvariantViolation``) is a bug, not a config error: it propagates.
+Each ``_cmd_*`` builds its ``Report`` and returns it, raising ``ValueError``
+or ``PadicLieError`` on a bad configuration.  ``main`` alone times the
+command, emits the report and owns the exit-code policy: 0 all assertions
+passed, 1 an assertion failed, 2 config error, 3 a budget was exceeded.
+Small-prime correspondence anomalies are reported as warnings, not
+failures.  A broken internal invariant (``InvariantViolation``) is a bug,
+not a config error: it propagates.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ def _emit(report: Report, args) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_explog_selftest(args) -> int:
+def _cmd_explog_selftest(args) -> Report:
     from .sampling import random_congruence_domain_matrix, random_resnilp_matrix
     from .explog import (
         exp_congruence,
@@ -57,11 +60,12 @@ def _cmd_explog_selftest(args) -> int:
         log_extended,
     )
 
+    if args.trials < 1:
+        raise ValueError(f"--trials {args.trials} must be >= 1")
     modulus = Modulus(args.p, args.N)
     rng = random.Random(args.seed)
     report = Report("explog-selftest", {"p": args.p, "N": args.N, "seed": args.seed,
                                         "trials": args.trials})
-    start = time.perf_counter()
     failures = 0
     for _ in range(args.trials):
         x = random_congruence_domain_matrix(rng, modulus)
@@ -81,12 +85,10 @@ def _cmd_explog_selftest(args) -> int:
     if args.p >= 5:
         report.add_case(domain="extended", trials=args.trials,
                         failures=extended_failures, passed=extended_failures == 0)
-    report.timing_seconds = time.perf_counter() - start
-    _emit(report, args)
-    return EXIT_PASS if report.passed else EXIT_FAIL
+    return report
 
 
-def _cmd_approx(args) -> int:
+def _cmd_approx(args) -> Report:
     from .approx import (
         approximate_sl2,
         optimality_search,
@@ -97,29 +99,23 @@ def _cmd_approx(args) -> int:
     if args.N is None:
         args.N = args.n + 3
     if args.N < args.n + 2:
-        print("config error: need N >= n + 2 precision headroom", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ValueError("need N >= n + 2 precision headroom")
     modulus = Modulus(args.p, args.N)
     report = Report("approx", {"p": args.p, "n": args.n, "N": args.N,
                                "worst_case": args.worst_case,
                                "certify_optimality": args.certify_optimality})
-    start = time.perf_counter()
     if args.worst_case:
         M = worst_case_subalgebra(modulus, args.n, trace_functional((1, 0, 0)))
     elif args.input:
         with open(args.input) as fh:
             M = LieLattice.from_json(json.load(fh))
         if M.modulus != modulus:
-            print(f"config error: lattice literal is at p = {M.modulus.p}, N = {M.modulus.N}, "
-                  f"not p = {args.p}, N = {args.N}", file=sys.stderr)
-            return EXIT_CONFIG
+            raise ValueError(f"lattice literal is at p = {M.modulus.p}, N = {M.modulus.N}, "
+                             f"not p = {args.p}, N = {args.N}")
         if lattice_level(M) != args.n:
-            print(f"config error: lattice has level {lattice_level(M)}, not {args.n}",
-                  file=sys.stderr)
-            return EXIT_CONFIG
+            raise ValueError(f"lattice has level {lattice_level(M)}, not {args.n}")
     else:
-        print("config error: pass --input or --worst-case", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ValueError("pass --input or --worst-case")
     result = approximate_sl2(M)
     half = -(args.n // -2)
     case = {"result": result.to_json(), "m_achieved": result.m,
@@ -134,16 +130,13 @@ def _cmd_approx(args) -> int:
         case["optimal_refuted_at"] = refuted_at
         case["passed"] = case["passed"] and (refuted_at == result.m + 1)
     report.add_case(**case)
-    report.timing_seconds = time.perf_counter() - start
-    _emit(report, args)
-    return EXIT_PASS if report.passed else EXIT_FAIL
+    return report
 
 
-def _cmd_nori(args) -> int:
+def _cmd_nori(args) -> Report:
     from .nori import roundtrip_check_fp, smallest_passing_prime
 
     report = Report("nori", {"p": args.p, "roundtrip": True})
-    start = time.perf_counter()
     rep = roundtrip_check_fp(args.p)
     candidates = tuple(q for q in (5, 7, 11, 13) if q <= max(args.p, 5))
     smallest, _ = smallest_passing_prime(candidates, known={args.p: rep})
@@ -157,12 +150,10 @@ def _cmd_nori(args) -> int:
     )
     for a in rep.anomalies:
         report.add_anomaly(a)
-    report.timing_seconds = time.perf_counter() - start
-    _emit(report, args)
-    return EXIT_PASS if report.passed else EXIT_FAIL
+    return report
 
 
-def _cmd_phi(args) -> int:
+def _cmd_phi(args) -> Report:
     from .volumes import (
         fixed_points_P1,
         gamma0_closed_form_applies,
@@ -183,10 +174,8 @@ def _cmd_phi(args) -> int:
     elif args.K.startswith("principal:"):
         predicate = predicate_principal(int(args.K.split(":", 1)[1]))
     else:
-        print(f"config error: unknown subgroup spec {args.K!r}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ValueError(f"unknown subgroup spec {args.K!r}")
     report = Report("phi", {"p": args.p, "n": args.n, "K": args.K, "x": json.loads(args.x)})
-    start = time.perf_counter()
     ratio = phi_brute(predicate, x)
     from .enumeration import sl2_point_count
 
@@ -200,28 +189,23 @@ def _cmd_phi(args) -> int:
                     match=(closed == ratio))
         case["passed"] = closed == ratio
     report.add_case(**case)
-    report.timing_seconds = time.perf_counter() - start
-    _emit(report, args)
-    return EXIT_PASS if report.passed else EXIT_FAIL
+    return report
 
 
-def _cmd_cdelta(args) -> int:
+def _cmd_cdelta(args) -> Report:
     from .volumes import Gamma0Spec, GammaFullSpec, c_delta
 
     report = Report("cdelta", {"gamma": json.loads(args.gamma),
                                "gamma0": args.gamma0, "full_level": args.full_level,
                                "decay_table": args.decay_table})
     gamma = json.loads(args.gamma)
-    start = time.perf_counter()
     if args.decay_table:
         primes = [int(t) for t in args.primes.split(",")]
         not_prime = [p for p in primes if not is_prime(p)]
         if not_prime:
-            print(f"config error: --primes entries {not_prime} are not prime", file=sys.stderr)
-            return EXIT_CONFIG
+            raise ValueError(f"--primes entries {not_prime} are not prime")
         if args.nmax < 1:
-            print(f"config error: --nmax {args.nmax} must be >= 1", file=sys.stderr)
-            return EXIT_CONFIG
+            raise ValueError(f"--nmax {args.nmax} must be >= 1")
         for p in primes:
             for n in range(1, args.nmax + 1):
                 res = c_delta(gamma, Gamma0Spec(p**n))
@@ -238,18 +222,14 @@ def _cmd_cdelta(args) -> int:
         report.add_case(M=args.full_level, kind="full", count=res.count,
                         index=res.index, ratio=res.ratio)
     else:
-        print("config error: pass --gamma0, --full-level or --decay-table", file=sys.stderr)
-        return EXIT_CONFIG
-    report.timing_seconds = time.perf_counter() - start
-    _emit(report, args)
-    return EXIT_PASS if report.passed else EXIT_FAIL
+        raise ValueError("pass --gamma0, --full-level or --decay-table")
+    return report
 
 
-def _cmd_count(args) -> int:
+def _cmd_count(args) -> Report:
     from .congcount import bound_a6, count_affine, count_mod_p_on_sl2, parse_poly, schmidt_check
 
     report = Report("count", {"poly": args.poly, "p": args.p, "n": args.n, "mode": args.mode})
-    start = time.perf_counter()
     if args.mode == "affine":
         f = parse_poly(args.poly)
         count = count_affine(f, args.p, args.n)
@@ -265,26 +245,16 @@ def _cmd_count(args) -> int:
         res = schmidt_check(f, args.p)
         report.add_case(count=res.count, bound=res.bound, passed=res.passed)
     else:
-        print(f"config error: unknown mode {args.mode!r}", file=sys.stderr)
-        return EXIT_CONFIG
-    report.timing_seconds = time.perf_counter() - start
-    _emit(report, args)
-    return EXIT_PASS if report.passed else EXIT_FAIL
+        raise ValueError(f"unknown mode {args.mode!r}")
+    return report
 
 
-def _cmd_report_merge(args) -> int:
+def _cmd_report_merge(args) -> Report:
     parts = []
     for path in args.inputs:
         with open(path) as fh:
             parts.append(json.load(fh))
-    merged = merge_reports(parts)
-    payload = json.dumps(merged, sort_keys=True, indent=2)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(payload + "\n")
-    else:
-        print(payload)
-    return EXIT_PASS if merged["passed"] else EXIT_FAIL
+    return merge_reports(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -305,12 +275,12 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--out", help="write the JSON report to this path")
         sp.add_argument("--csv", help="also write the case table as CSV")
-        sp.add_argument("--seed", type=int, default=7, help="PRNG seed")
 
     sp = sub.add_parser("explog-selftest", help="round-trip the exp/log maps")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--N", type=int, required=True)
     sp.add_argument("--trials", type=int, default=500)
+    sp.add_argument("--seed", type=int, default=7, help="PRNG seed")
     common(sp)
     sp.set_defaults(func=_cmd_explog_selftest)
 
@@ -328,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("nori", help="verify the mod-p correspondence round trip")
     sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--roundtrip", action="store_true", default=True)
     common(sp)
     sp.set_defaults(func=_cmd_nori)
 
@@ -376,19 +345,20 @@ def main(argv: list[str] | None = None) -> int:
     if not getattr(args, "command", None):
         parser.print_help()
         return EXIT_CONFIG
+    start = time.perf_counter()
     try:
-        return args.func(args)
+        report = args.func(args)
+        report.timing_seconds += time.perf_counter() - start
+        _emit(report, args)
     except (BudgetExceeded, ClosureBudgetExceeded) as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except InvariantViolation:
         raise  # a bug in the program, not in its configuration
-    except PadicLieError as exc:
+    except (PadicLieError, ValueError, OSError) as exc:  # JSONDecodeError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    return EXIT_PASS if report.passed else EXIT_FAIL
 
 
 if __name__ == "__main__":

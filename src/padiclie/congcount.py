@@ -364,10 +364,10 @@ def schmidt_check(g: IntPolynomial, p: int, *, cap: int = DEFAULT_ENUM_CAP) -> S
     return SchmidtCheck(count, deg * p ** (g.nvars - 1), deg)
 
 
-def random_polynomial(rng, d: int, s: int, p: int, *, coeff_bound: int | None = None) -> IntPolynomial:
-    """A seeded random polynomial of total degree <= d in s variables,
-    guaranteed nonzero mod p."""
-    hi = coeff_bound if coeff_bound is not None else p**2
+def random_polynomial(rng, d: int, s: int, p: int) -> IntPolynomial:
+    """A seeded random polynomial of total degree <= d in s variables, with
+    coefficients in [-p^2, p^2], guaranteed nonzero mod p."""
+    hi = p**2
     while True:
         terms = {}
         for exps in _monomials_up_to(d, s):

@@ -299,10 +299,8 @@ class LieLattice:
     adapted_inverse: tuple[Vec, Vec, Vec]
 
     @classmethod
-    def from_columns(
-        cls, columns: Sequence[Vec], modulus: Modulus, *, margin: int = 0
-    ) -> "LieLattice":
-        sf = smith_form(columns, modulus, margin=margin)
+    def from_columns(cls, columns: Sequence[Vec], modulus: Modulus) -> "LieLattice":
+        sf = smith_form(columns, modulus)
         return cls(modulus, sf.divisors, sf.adapted_basis, sf.adapted_inverse)
 
     @classmethod
@@ -360,12 +358,9 @@ class LieLattice:
                 out.append(((s * x[0]) % pN, (s * x[1]) % pN, (s * x[2]) % pN))
         return tuple(out)
 
-    def coordinates(self, v: Vec) -> Vec:
+    def _coords(self, v: Vec) -> Vec:
         """Coordinates of v in the adapted basis (exact: the basis is
         unimodular)."""
-        return self._coords(v)
-
-    def _coords(self, v: Vec) -> Vec:
         q = self.modulus.pN
         r = self.adapted_inverse
         return (
@@ -376,9 +371,8 @@ class LieLattice:
 
     # -- membership and comparisons ----------------------------------------
 
-    def contains(self, v: Vec, *, mod_exponent: int | None = None) -> bool:
-        m = self.modulus.N if mod_exponent is None else mod_exponent
-        return membership_mod(self, v, m)
+    def contains(self, v: Vec) -> bool:
+        return membership_mod(self, v, self.modulus.N)
 
     def contains_lattice(self, other: "LieLattice") -> bool:
         return all(self.contains(g) for g in other.generators)

@@ -85,19 +85,18 @@ from .lattice import (
 
 @dataclass(frozen=True, eq=False)
 class FpSubgroup:
-    """A subgroup of SL(2, F_p): the closure that holds its elements, which
-    also lets it be extended by a generator without closing again, and the
-    generators it was built from, as ``MatP``s at ``Modulus(p, 1)``.
+    """A subgroup of SL(2, F_p): the closure that holds its elements and
+    the generators that built them (``closure.generators``, ``MatP``s at
+    ``Modulus(p, 1)``), which also lets it be extended by a generator
+    without closing again.
     Subgroups are compared by ``canonical()`` or by their closures' codes.
     """
 
     closure: SubgroupClosure
-    generator_record: tuple[MatP, ...] = ()
 
     @classmethod
     def generated_by(cls, p: int, generators: Iterable[MatP]) -> "FpSubgroup":
-        gens = tuple(generators)
-        return cls(closure_of_pool(gens, Modulus(p, 1)), gens)
+        return cls(closure_of_pool(tuple(generators), Modulus(p, 1)))
 
     @classmethod
     def trivial(cls, p: int) -> "FpSubgroup":
@@ -140,7 +139,7 @@ def h_plus(H: FpSubgroup) -> FpSubgroup:
     subgroups.
     """
     closure = SubgroupClosure.trivial(H.closure.modulus).extend_by_pool(_unipotent_columns(H))
-    result = FpSubgroup(closure, closure.generators)
+    result = FpSubgroup(closure)
     index, rest = divmod(H.order, result.order)
     if rest or index % H.p == 0:
         raise InvariantViolation(
@@ -230,7 +229,7 @@ def grpc_bar(L: LieLattice) -> FpSubgroup:
         raise PreconditionViolation(f"grpc_bar takes a lattice at precision 1, not {L.modulus.N}")
     pool = _series_table(L.modulus.p).exp(_generating_points(L))
     closure = SubgroupClosure.trivial(L.modulus).extend_by_pool(pool)
-    return FpSubgroup(closure, closure.generators)
+    return FpSubgroup(closure)
 
 
 def enumerate_unipotent_generated(p: int, *, cap: int = DEFAULT_ENUM_CAP) -> list[FpSubgroup]:
@@ -250,7 +249,7 @@ def enumerate_unipotent_generated(p: int, *, cap: int = DEFAULT_ENUM_CAP) -> lis
     group and one from the first of them to the full group (the tests
     count them).  A unipotent is skipped only when the subgroup it would
     give from H is already known, so each subgroup is still first found by
-    the same pair (H, u), with the same generator record.  Every extension
+    the same pair (H, u), with the same generators.  Every extension
     of the first Sylow p-subgroup is SL(2, F_p), which each conjugator
     normalizes, so ``SubgroupClosure.conjugate`` hands the other Sylow
     p-subgroups its codes unchanged.  The count of subgroups is
@@ -292,7 +291,7 @@ def enumerate_unipotent_generated(p: int, *, cap: int = DEFAULT_ENUM_CAP) -> lis
                         raise BudgetExceeded(
                             f"subgroup count exceeded cap {cap} (at least {len(seen) + 1} subgroups)"
                         )
-                    extended = FpSubgroup(closure, (*H.generator_record, u))
+                    extended = FpSubgroup(closure)
                     seen[key] = extended
                     nxt.append(extended)
         frontier = nxt
@@ -654,7 +653,7 @@ def roundtrip_check_fp(p: int) -> RoundtripReport:
                 {
                     "direction": "group",
                     "order": H.order,
-                    "witness": [g.to_json() for g in H.generator_record],
+                    "witness": [g.to_json() for g in H.closure.generators],
                 }
             )
     algebras = enumerate_nilpotently_generated(p)

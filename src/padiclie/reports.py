@@ -108,9 +108,22 @@ def _flat(v: Any) -> Any:
     return v
 
 
-def merge_reports(reports: list[dict]) -> dict:
+# Python types of the JSON types that REPORT_SCHEMA names (bool is an int)
+_JSON_TYPES = {"integer": int, "number": (int, float), "string": str, "boolean": bool,
+               "array": list, "object": dict}
+
+
+def merge_reports(reports: list[dict]) -> Report:
     """Deterministic merge of serialized reports, keyed by command then
-    digest; configs are kept per part."""
+    digest; configs are kept per part.  A part that is not a JSON object,
+    or has a field of another JSON type than ``REPORT_SCHEMA`` gives it,
+    raises ``ValueError``."""
+    for r in reports:
+        if not isinstance(r, dict):
+            raise ValueError(f"report part is a {type(r).__name__}, not a JSON object")
+        for key, spec in REPORT_SCHEMA["properties"].items():
+            if key in r and not isinstance(r[key], _JSON_TYPES[spec["type"]]):
+                raise ValueError(f"report part field {key!r} is not a JSON {spec['type']}")
     parts = sorted(reports, key=lambda r: (r.get("command", ""), r.get("digest", "")))
     merged = Report(
         command="report-merge",
@@ -122,4 +135,4 @@ def merge_reports(reports: list[dict]) -> dict:
         if not r.get("passed", True):
             merged.passed = False
         merged.timing_seconds += r.get("timing_seconds", 0.0)
-    return merged.to_json()
+    return merged

@@ -28,6 +28,14 @@ def test_explog_selftest_passes_and_is_deterministic(capsys, tmp_path):
     assert rep3["digest"] != rep1["digest"]
 
 
+@pytest.mark.parametrize("trials", ["0", "-4"])
+def test_explog_selftest_refuses_no_trials(capsys, trials):
+    # no trial checks nothing: refused, not passed vacuously
+    assert main(["explog-selftest", "--p", "5", "--N", "4", f"--trials={trials}"]) == 2
+    captured = capsys.readouterr()
+    assert "config error" in captured.err and captured.out == ""
+
+
 def test_approx_worst_case_certify(capsys):
     code, rep = _run(capsys, ["approx", "--worst-case", "--p", "3", "--n", "4",
                               "--certify-optimality"])
@@ -209,11 +217,35 @@ def test_nori_command_digests(capsys, p, digest):
          "1dd8510d18024b15d893e2566cbe2294f99b729d5250242a8ccb751cad065f13"),
         ("cdelta --gamma [[2,1],[1,1]] --gamma0 360",
          "db97eb14fa7428ac68e36ac0a3bf8811f563651145c1e5f1aac2b28384568200"),
+        ("explog-selftest --p 5 --N 4 --seed 7 --trials 40",
+         "cb33d2920991f440168ac55542cc248b710b42375e315c671b4729bca275d297"),
+        ("approx --worst-case --p 3 --n 4 --certify-optimality",
+         "13f357122ce47270feac626b7a0c97d589f980bb5d22e3ea9e886299538902f4"),
+        ("nori --p 5",
+         "d55b173bb07fc54c64245d704efac6bad68f8db1a5f6bb22ecac828978ea4970"),
+        ("count --poly x0^2+x1^2 --p 3 --n 2 --mode affine",
+         "0255d0777e8193ed4355370145dc5502a3d1688395b2d26ce9abbb8ca4c073bd"),
+        ("count --poly x1 --p 5 --mode sl2",
+         "6e8e50c371734199caf868a4582d2543587570d0fcfd5a6b09b1a07dbb653f7f"),
+        ("count --poly x0*x1 --p 5 --mode schmidt",
+         "cf7458eaf02e4d7d5f6c9adaa1dc08a93a428b5be319fd5f9d9da98589430281"),
+        ("report-merge",
+         "bc6973a0f56bd84f883dd05d7f5ed9a253751993fe1edc2ade55d968d88511a1"),
     ],
 )
-def test_volume_command_digests(capsys, argv, digest):
-    code, rep = _run(capsys, argv.split())
+def test_volume_command_digests(capsys, tmp_path, argv, digest):
+    argv = argv.split()
+    if argv == ["report-merge"]:
+        # the merged digest reads only the parts' digests, cases and verdicts
+        for i, part in enumerate(_MERGE_PARTS):
+            path = tmp_path / f"part{i}.json"
+            assert main([*part.split(), "--out", str(path)]) == 0
+            argv.append(str(path))
+    code, rep = _run(capsys, argv)
     assert code == 0 and rep["digest"] == digest
+
+
+_MERGE_PARTS = ["count --poly x0 --p 3 --n 1", "phi --p 3 --n 2 --K gamma0 --x [[1,1],[0,1]]"]
 
 
 @pytest.mark.parametrize(
@@ -265,6 +297,33 @@ def test_report_merge(capsys, tmp_path):
     # merge order is deterministic regardless of argument order
     code, merged2 = _run(capsys, ["report-merge", str(p2), str(p1)])
     assert merged["cases"] == merged2["cases"]
+
+
+def test_report_merge_time_is_parts_plus_merge(capsys, tmp_path):
+    _, rep1 = _run(capsys, ["count", "--poly", "x0", "--p", "3", "--n", "1"])
+    _, rep2 = _run(capsys, ["count", "--poly", "x0^2", "--p", "3", "--n", "2"])
+    parts_time = rep1["timing_seconds"] + rep2["timing_seconds"]
+    assert merge_reports([rep1, rep2]).timing_seconds == parts_time
+    p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
+    p1.write_text(json.dumps(rep1))
+    p2.write_text(json.dumps(rep2))
+    code, merged = _run(capsys, ["report-merge", str(p1), str(p2)])
+    assert code == 0 and merged["timing_seconds"] > parts_time
+
+
+@pytest.mark.parametrize("part", [[1, 2], 5, "report", {"cases": 5}, {"anomalies": {"a": 1}},
+                                  {"cases": [], "timing_seconds": "slow"}, {"digest": 7}])
+def test_report_merge_refuses_malformed_parts(capsys, tmp_path, part):
+    # a malformed part is a config error, not a traceback with exit 1
+    _, rep = _run(capsys, ["count", "--poly", "x0", "--p", "3", "--n", "1"])
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(json.dumps(rep))
+    bad.write_text(json.dumps(part))
+    assert main(["report-merge", str(good), str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert "config error" in captured.err and captured.out == ""
+    with pytest.raises(ValueError):
+        merge_reports([rep, part])
 
 
 def test_json_schema_flag(capsys):

@@ -164,7 +164,7 @@ def _enumerate_unipotent_generated_oracle(p):
                 closure = H.closure.extend(_mat(u, m))
                 key = closure.codes.tobytes()
                 if key not in seen:
-                    seen[key] = FpSubgroup(closure, (*H.generator_record, _mat(u, m)))
+                    seen[key] = FpSubgroup(closure)
                     nxt.append(seen[key])
         frontier = nxt
     return sorted(seen.values(), key=lambda H: (H.order, H.canonical()))
@@ -174,7 +174,6 @@ def _enumerate_unipotent_generated_oracle(p):
 def test_enumerate_unipotent_generated_matches_oracle(p):
     fast, slow = enumerate_unipotent_generated(p), _enumerate_unipotent_generated_oracle(p)
     assert [H.canonical() for H in fast] == [H.canonical() for H in slow]
-    assert [H.generator_record for H in fast] == [H.generator_record for H in slow]
     assert [H.closure.generators for H in fast] == [H.closure.generators for H in slow]
 
 
@@ -406,12 +405,12 @@ def test_roundtrip_fp_and_smallest_prime():
 
 def test_roundtrip_fp_failure_records_are_json(monkeypatch):
     # a grpc_bar that returns the trivial group fails both directions; the
-    # group failure's witness is its generator record as matrix literals
+    # group failure's witness is its closure's generators as matrix literals
     monkeypatch.setattr(nori, "grpc_bar", lambda L: FpSubgroup.trivial(L.modulus.p))
     rep = roundtrip_check_fp(5)
     groups = [f["witness"] for f in rep.failures if f["direction"] == "group"]
     nontrivial = [H for H in enumerate_unipotent_generated(5) if H.order > 1]
-    assert groups == [[g.to_json() for g in H.generator_record] for H in nontrivial]
+    assert groups == [[g.to_json() for g in H.closure.generators] for H in nontrivial]
     json.dumps(rep.to_json())
 
 
@@ -477,7 +476,7 @@ def test_table_read_maps_match_precision_n_maps(p):
     for L in [*lattices, *enumerate_nilpotently_generated(p)]:
         read, padic = grpc_bar(L), grpc_padic(L)
         assert np.array_equal(read.closure.codes, padic.codes)
-        assert read.closure.generators == read.generator_record == padic.generators
+        assert read.closure.generators == padic.generators
 
 
 def test_series_table_refuses_points_it_does_not_hold():

@@ -135,6 +135,30 @@ def test_grid_evaluator_is_the_oracle_only():
     assert defined == {"congcount.py:_evaluate_on_grid"}
 
 
+# ``cli.main`` alone times a subcommand, emits its report and maps the outcome
+# to an exit code; a ``_cmd_*`` builds its Report and raises on a bad
+# configuration.
+_LIFECYCLE = {"_emit", "perf_counter", "stderr"}
+
+
+def test_cli_commands_leave_the_report_lifecycle_to_main():
+    path = next(p for p in SOURCES if p.name == "cli.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    commands = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name.startswith("_cmd_")]
+    found = []
+    for command in commands:
+        for node in ast.walk(command):
+            name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+            if name in _LIFECYCLE:
+                found.append(f"cli.py:{node.lineno} {command.name} uses {name}")
+            if isinstance(node, ast.Return) and node.value is not None and any(
+                isinstance(n, ast.Name) and n.id.startswith("EXIT_") for n in ast.walk(node.value)
+            ):
+                found.append(f"cli.py:{node.lineno} {command.name} returns an exit code")
+    assert len(commands) == 7
+    assert found == []
+
+
 # The exp/log column kernels run on two coefficient columns per distinct
 # (trace, det) pair; a 2x2 product per element does not belong in them.
 def test_series_kernels_take_no_matrix_products():
