@@ -45,11 +45,9 @@ from .lattice import (
     is_subalgebra_mod,
     lattice_level,
     membership_mod,
-    saturate,
     smith_form,
 )
 from .approx import (
-    AnnihilatorPoint,
     ApproxResult,
     annihilator_of_plane,
     approximate_sl2,
@@ -58,6 +56,7 @@ from .approx import (
     optimality_search,
     quadric_residual,
     select_r,
+    trace_pairing_row,
     worst_case_subalgebra,
 )
 from .nori import (

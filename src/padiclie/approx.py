@@ -1,22 +1,22 @@
 """The subalgebra approximation algorithm for sl(2), fully explicit.
 
 Given an exact Lie sublattice M of level p^n, produce a proper isolated
-subalgebra I with M inside I + p^m * sl2 and m >= ceil(n/2) (p odd).  Rank
-two isolated sublattices are parametrized by primitive trace functionals
-c = (c1, c2, c3): J(c) = {x : tr(c x) = 0}, which is a subalgebra exactly
-when (2 c1)^2 + 4 c2 c3 = 0; off-quadric points are repaired by an exact
-lift (the residual is linear in c3 once c2 is a unit, so one Newton step
-closes it completely and is its own fixed point).
+subalgebra I with M inside I + p^m * sl2 and m >= ceil(n/2) (ceil(n/2) - 1
+at p = 2, n >= 3).
 
-Internally the functional is carried as the coefficient row
-(A, B, C) = (c3, 2 c1, c2) on coordinates (x_e, x_h, x_f); that form stays
-integral at p = 2, where c1 itself may be a half-integer.  The residual in
-row form is B^2 + 4 A C.
+Rank two isolated sublattices are kernels of primitive trace functionals
+x -> tr(c x), c = [[c1, c2], [c3, -c1]].  On coordinates (x_e, x_h, x_f) the
+functional is the row (A, B, C) = (c3, 2 c1, c2), the only form carried here
+(``trace_pairing_row`` maps c to it); rows stay integral at p = 2.  The kernel
+is a subalgebra exactly when the residual B^2 + 4 A C = (2 c1)^2 + 4 c2 c3
+vanishes.  Off-quadric rows are repaired by an exact lift: the residual is
+linear in A once C is a unit, so one Newton step closes it completely and is
+its own fixed point.
 
 The module also hosts the matching optimality machinery: a worst-case
-constructor from surjective linear functionals, an exhaustive search over
-all proper isolated candidates mod p^m certifying that no better exponent
-is possible on a given instance, and a group-level certificate obtained by
+constructor from surjective functionals, an exhaustive search over all
+proper isolated candidates mod p^m certifying that no better exponent is
+possible on a given instance, and a group-level certificate obtained by
 taking logarithms over a subgroup closure.
 """
 
@@ -60,7 +60,9 @@ from .lattice import (
     membership_mod_columns,
 )
 
-# -- functional rows ---------------------------------------------------------
+# ---------------------------------------------------------------------------
+# Trace functionals as rows
+# ---------------------------------------------------------------------------
 
 
 def trace_pairing_row(c: Vec) -> Vec:
@@ -74,37 +76,46 @@ def _row_apply(row: Vec, x: Vec, q: int) -> int:
     return (row[0] * x[0] + row[1] * x[1] + row[2] * x[2]) % q
 
 
-def _row_residual(row: Vec, q: int) -> int:
+def quadric_residual(row: Vec, modulus: Modulus) -> int:
+    """B^2 + 4 A C mod p^N; zero exactly when the kernel of the row is a
+    subalgebra, and divisible by p^m exactly when it maps to a subalgebra
+    mod p^m."""
     a, b, c = row
-    return (b * b + 4 * a * c) % q
+    return (b * b + 4 * a * c) % modulus.pN
 
 
-def _row_is_primitive(row: Vec, p: int) -> bool:
-    return any(x % p != 0 for x in row)
-
-
-def _row_lattice(row: Vec, modulus: Modulus) -> LieLattice:
-    """Kernel of the functional row as a rank-two isolated lattice."""
+def _kernel_columns(row: Vec, modulus: Modulus, scale: int = 1) -> tuple[int, list[Vec]] | None:
+    """``scale`` times a basis of the kernel of the row, with the index j of
+    its first unit coordinate: the columns scale * (x_i - (w_i / w_j) x_j)
+    for i != j.  None when the row has no unit coordinate."""
     pN = modulus.pN
     w = tuple(x % pN for x in row)
     j = next((i for i in range(3) if w[i] % modulus.p != 0), None)
     if j is None:
-        raise DegenerateSpan(f"functional row {row} has no unit coordinate")
+        return None
     winv = pow(w[j], -1, pN)
     cols = []
     for i in range(3):
         if i == j:
             continue
         v = [0, 0, 0]
-        v[i] = 1
-        v[j] = (-w[i] * winv) % pN
+        v[i] = scale
+        v[j] = (-w[i] * winv * scale) % pN
         cols.append(tuple(v))
-    return LieLattice.from_columns(cols, modulus)
+    return j, cols
 
 
-def _plane_annihilator_row(x1: Vec, x2: Vec, modulus: Modulus) -> Vec:
-    """Primitive row annihilating span{x1, x2}: cross product of the two
-    coordinate rows, checked by substitution."""
+def _row_lattice(row: Vec, modulus: Modulus) -> LieLattice:
+    """Kernel of the functional row as a rank-two isolated lattice."""
+    kernel = _kernel_columns(row, modulus)
+    if kernel is None:
+        raise DegenerateSpan(f"functional row {row} has no unit coordinate")
+    return LieLattice.from_columns(kernel[1], modulus)
+
+
+def annihilator_of_plane(x1: Vec, x2: Vec, modulus: Modulus) -> Vec:
+    """The canonical primitive row annihilating span{x1, x2}: the cross
+    product of the two coordinate rows, checked by substitution."""
     pN = modulus.pN
     r1 = (x1[0] % pN, x1[1] % pN, x1[2] % pN)
     r2 = (x2[0] % pN, x2[1] % pN, x2[2] % pN)
@@ -113,7 +124,7 @@ def _plane_annihilator_row(x1: Vec, x2: Vec, modulus: Modulus) -> Vec:
         (r1[2] * r2[0] - r1[0] * r2[2]) % pN,
         (r1[0] * r2[1] - r1[1] * r2[0]) % pN,
     )
-    if not _row_is_primitive(cross, modulus.p):
+    if all(x % modulus.p == 0 for x in cross):
         raise DegenerateSpan("spanning vectors are dependent modulo p")
     row = _canonical_row(cross, modulus)
     for x in (x1, x2):
@@ -123,11 +134,8 @@ def _plane_annihilator_row(x1: Vec, x2: Vec, modulus: Modulus) -> Vec:
 
 
 def _canonical_row(row: Vec, modulus: Modulus) -> Vec:
-    """Scale so the first unit coordinate in the order (C, A, B) is 1.
-
-    In c-coordinates this is the (c2, c3, c1) preference of the point's
-    canonical form.
-    """
+    """Scale so the first unit coordinate in the order (C, A, B) is 1, which
+    makes deduplication stable; in c-coordinates the order is (c2, c3, c1)."""
     p, pN = modulus.p, modulus.pN
     a, b, c = (row[0] % pN, row[1] % pN, row[2] % pN)
     for coord in (c, a, b):
@@ -137,12 +145,13 @@ def _canonical_row(row: Vec, modulus: Modulus) -> Vec:
     raise PreconditionViolation(f"row {row} is not primitive")
 
 
-def _lift_row(row: Vec, m: int, modulus: Modulus) -> Vec:
+def lift_quadric(row: Vec, m: int, modulus: Modulus) -> Vec:
     """Move a row with residual divisible by p^m onto the quadric exactly.
 
     The residual B^2 + 4AC is linear in A once C is a unit (and vice
     versa); primitivity plus p | residual forces such a unit for p odd.
-    For p odd the result is congruent mod p^m, for p = 2 mod 2^{m-2}.
+    For p odd the result is congruent mod p^m, for p = 2 mod 2^{m-2}.  The
+    result is canonical, and lifting it again returns it unchanged.
     """
     p, pN = modulus.p, modulus.pN
     if p == 2:
@@ -150,7 +159,7 @@ def _lift_row(row: Vec, m: int, modulus: Modulus) -> Vec:
             raise UnsupportedPrecision("p = 2 lifting needs residual exponent >= 3")
     elif m < 1:
         raise UnsupportedPrecision("lifting needs residual exponent >= 1")
-    res = _row_residual(row, pN)
+    res = quadric_residual(row, modulus)
     if int_valuation(res, p, modulus.N) < min(m, modulus.N):
         raise PreconditionViolation(f"residual {res} is not divisible by p^{m}")
     if res == 0:
@@ -174,7 +183,7 @@ def _lift_row(row: Vec, m: int, modulus: Modulus) -> Vec:
         lifted = (a, b, (-b * b * pow(4 * a, -1, pN)) % pN)
     else:
         raise NoUnitDerivative("no unit partial derivative on the quadric")
-    if _row_residual(lifted, pN) != 0:
+    if quadric_residual(lifted, modulus) != 0:
         raise InvariantViolation("lift did not land on the quadric")
     keep = min(m - (2 if p == 2 else 0), modulus.N)
     q = p**keep
@@ -183,100 +192,23 @@ def _lift_row(row: Vec, m: int, modulus: Modulus) -> Vec:
     return _canonical_row(lifted, modulus)
 
 
-# -- the public annihilator point (p odd) -------------------------------------
-
-
-@dataclass(frozen=True)
-class AnnihilatorPoint:
-    """A primitive triple c = (c1, c2, c3) representing the rank-two
-    sublattice J(c) = {x : tr(c x) = 0}, up to unit scaling (p odd).
-
-    Primitivity means min(v(2 c1), v(c2), v(c3)) = 0.  The canonical
-    representative scales the first unit coordinate in the order
-    (c2, c3, c1) to 1, which makes deduplication in enumerations stable.
-    """
-
-    c: Vec
-    modulus: Modulus
-
-    def __post_init__(self):
-        if self.modulus.p == 2:
-            raise UnsupportedPrime("annihilator triples need c1 integral (p odd)")
-        if not _row_is_primitive(self.c, self.modulus.p):
-            raise PreconditionViolation(f"triple {self.c} is not primitive")
-
-    @classmethod
-    def canonical(cls, c: Vec, modulus: Modulus) -> "AnnihilatorPoint":
-        row = _canonical_row(trace_pairing_row(c), modulus)
-        return cls.from_row(row, modulus)
-
-    @classmethod
-    def from_row(cls, row: Vec, modulus: Modulus) -> "AnnihilatorPoint":
-        a, b, c = row
-        pN = modulus.pN
-        c1 = (b * pow(2, -1, pN)) % pN
-        return cls((c1, c % pN, a % pN), modulus)
-
-    @property
-    def row(self) -> Vec:
-        return tuple(x % self.modulus.pN for x in trace_pairing_row(self.c))
-
-    def lattice(self) -> LieLattice:
-        """The rank-two isolated lattice J(c) at precision N."""
-        return _row_lattice(self.row, self.modulus)
-
-
-def quadric_residual(point: AnnihilatorPoint | Vec, modulus: Modulus | None = None) -> int:
-    """(2 c1)^2 + 4 c2 c3 mod p^N; zero exactly when J(c) is a subalgebra,
-    and divisible by p^m exactly when J(c) maps to a subalgebra mod p^m."""
-    if isinstance(point, AnnihilatorPoint):
-        c, modulus = point.c, point.modulus
-    else:
-        if modulus is None:
-            raise ValueError("modulus required for a bare triple")
-        c = point
-    c1, c2, c3 = c
-    return (4 * c1 * c1 + 4 * c2 * c3) % modulus.pN
-
-
-def annihilator_of_plane(x1: Vec, x2: Vec, modulus: Modulus) -> AnnihilatorPoint:
-    """The functional annihilating the plane spanned by x1 and x2 (p odd),
-    primitive and verified by substitution."""
-    if modulus.p == 2:
-        raise UnsupportedPrime("annihilator triples need c1 integral (p odd)")
-    row = _plane_annihilator_row(x1, x2, modulus)
-    return AnnihilatorPoint.from_row(row, modulus)
-
-
-def lift_quadric(point: AnnihilatorPoint, congruence_exponent: int) -> AnnihilatorPoint:
-    """Move c onto the quadric exactly, changing nothing mod p^m.
-
-    Requires the residual to be divisible by p^m with m >= 1; the result is
-    exact (residual zero at precision N) and idempotent.
-    """
-    lifted = _lift_row(point.row, congruence_exponent, point.modulus)
-    return AnnihilatorPoint.from_row(lifted, point.modulus)
-
-
 # ---------------------------------------------------------------------------
 # r-selection (the general algorithm's index choice, kept as a trace)
 # ---------------------------------------------------------------------------
 
 
-# The splitting constant c that ``approximate_sl2`` selects r with.
+# The splitting constant c that ``select_r`` selects r with.
 _SPLITTING_CONSTANT = Fraction(1, 4)
 
 
-def select_r(
-    divisors: Sequence[int], c_constant: Fraction = _SPLITTING_CONSTANT
-) -> tuple[int, int]:
+def select_r(divisors: Sequence[int]) -> tuple[int, int]:
     """The maximal 1-based index r with a_r < c * a_{r+1} (0 when none) and
-    the guaranteed exponent nu = ceil((1 - 2c) c^(d-r-1) n), n = a_d.
+    the guaranteed exponent nu = ceil((1 - 2c) c^(d-r-1) n), n = a_d, for the
+    splitting constant c = 1/4.
 
     The selection chain a_{r+1} >= c^(d-r-1) n is asserted on every call.
     """
-    if not Fraction(0) < c_constant < Fraction(1, 2):
-        raise PreconditionViolation("the splitting constant must lie in (0, 1/2)")
+    c = _SPLITTING_CONSTANT
     alpha = list(divisors)
     d = len(alpha)
     n = alpha[-1]
@@ -284,18 +216,18 @@ def select_r(
         raise PreconditionViolation("level exponent must be >= 1")
     r = 0
     for i in range(1, d):
-        if alpha[i - 1] < c_constant * alpha[i]:
+        if alpha[i - 1] < c * alpha[i]:
             r = i
-    nu = math.ceil((1 - 2 * c_constant) * c_constant ** (d - r - 1) * n)
+    nu = math.ceil((1 - 2 * c) * c ** (d - r - 1) * n)
     # alpha[r] is a_{r+1} one-based; every index above r failed the splitting
     # test, so a_{r+1} >= c a_{r+2} >= ... >= c^(d-r-1) a_d
-    if Fraction(alpha[r]) < c_constant ** (d - r - 1) * n:
+    if Fraction(alpha[r]) < c ** (d - r - 1) * n:
         raise InvariantViolation("selection chain violated: a_{r+1} < c^(d-r-1) n")
     return r, nu
 
 
 # ---------------------------------------------------------------------------
-# The approximation algorithm (p odd; p = 2 behind a flag)
+# The approximation algorithm
 # ---------------------------------------------------------------------------
 
 
@@ -303,44 +235,37 @@ def select_r(
 class ApproxResult:
     """Output of the approximation: a proper isolated subalgebra I, the
     depth exponent m with M inside I + p^m * sl2 (verified before return),
-    the branch taken, and the r-selection trace."""
+    the branch taken, the r-selection trace (r, nu), and the functional row
+    whose kernel is I on the rank-two branch."""
 
     subalgebra: LieLattice
     m: int
     branch: str  # "rank1" or "rank2-lifted"
-    r_selection_trace: tuple[int, int, Fraction]
+    r_selection_trace: tuple[int, int]
     annihilator_row: Vec | None = None
 
-    @property
-    def annihilator(self) -> AnnihilatorPoint | None:
-        if self.annihilator_row is None or self.subalgebra.modulus.p == 2:
-            return None
-        return AnnihilatorPoint.from_row(self.annihilator_row, self.subalgebra.modulus)
-
     def to_json(self) -> dict:
-        r, nu, c = self.r_selection_trace
+        r, nu = self.r_selection_trace
         return {
             "subalgebra": self.subalgebra.to_json(),
             "m": self.m,
             "branch": self.branch,
-            "r_selection_trace": {"r": r, "nu": nu, "c_constant": str(c)},
+            "r_selection_trace": {"r": r, "nu": nu, "c_constant": str(_SPLITTING_CONSTANT)},
             "annihilator_row": list(self.annihilator_row) if self.annihilator_row else None,
         }
 
 
-def _guaranteed_exponent(p: int, n: int) -> int:
+def guaranteed_exponent(p: int, n: int) -> int:
+    """The depth ``approximate_sl2`` guarantees at level p^n: ceil(n/2),
+    less one at p = 2."""
     half = math.ceil(Fraction(n, 2))
     return half if p != 2 else max(half - 1, 0)
 
 
-def approximate_sl2(
-    M: LieLattice,
-    *,
-    allow_p2: bool = False,
-) -> ApproxResult:
+def approximate_sl2(M: LieLattice) -> ApproxResult:
     """Approximate an exact subalgebra M of level p^n by a proper isolated
-    subalgebra to depth m >= ceil(n/2) (p odd; >= ceil(n/2) - 1 for p = 2
-    when enabled, n >= 3).
+    subalgebra to depth m >= ceil(n/2) (p odd; >= ceil(n/2) - 1 for p = 2,
+    where n >= 3).
 
     Branch on the elementary divisors a = (a1, a2, a3), n = a3: when
     a2 >= n/2 the first adapted direction already works with m = a2;
@@ -351,8 +276,6 @@ def approximate_sl2(
     """
     modulus = M.modulus
     p, N = modulus.p, modulus.N
-    if p == 2 and not allow_p2:
-        raise UnsupportedPrime("p = 2 path is disabled by default (pass allow_p2=True)")
     if not M.is_full_rank:
         raise PreconditionViolation("approximation needs a full-rank (open) sublattice")
     if not is_subalgebra_mod(M, N - 1):
@@ -366,8 +289,8 @@ def approximate_sl2(
         raise UnsupportedPrecision(f"need N >= n + 2 precision headroom, got N = {N}")
 
     a1, a2, _ = M.divisors
-    trace = (*select_r(M.divisors), _SPLITTING_CONSTANT)
-    floor_m = _guaranteed_exponent(p, n)
+    trace = select_r(M.divisors)
+    floor_m = guaranteed_exponent(p, n)
 
     threshold = Fraction(n, 2) if p != 2 else Fraction(n, 2) - 1
     if Fraction(a2) >= threshold:
@@ -376,9 +299,8 @@ def approximate_sl2(
         result = ApproxResult(subalgebra, a2, "rank1", trace)
     else:
         x1, x2 = M.adapted_basis[0], M.adapted_basis[1]
-        row = _plane_annihilator_row(x1, x2, modulus)
-        m_q = n - a1 - a2
-        lifted = _lift_row(row, m_q, modulus)
+        row = annihilator_of_plane(x1, x2, modulus)
+        lifted = lift_quadric(row, n - a1 - a2, modulus)
         subalgebra = _row_lattice(lifted, modulus)
         m = n - a2 - (2 if p == 2 else 0)
         result = ApproxResult(subalgebra, m, "rank2-lifted", trace, annihilator_row=lifted)
@@ -402,18 +324,6 @@ def approximate_sl2(
 # ---------------------------------------------------------------------------
 
 
-def trace_functional(c0: Vec) -> Vec:
-    """The row of x -> tr(c0 x), for use as a worst-case functional."""
-    return trace_pairing_row(c0)
-
-
-def coordinate_functional(index: int) -> Vec:
-    """The row picking out one (e, h, f) coordinate."""
-    row = [0, 0, 0]
-    row[index] = 1
-    return tuple(row)
-
-
 def worst_case_subalgebra(modulus: Modulus, n: int, functional_row: Vec) -> LieLattice:
     """The level-p^n subalgebra p^k ker(phi) + p^n sl2 for n = 2k and a
     surjective functional phi on sl2 / p^k sl2 given by ``functional_row``.
@@ -426,22 +336,11 @@ def worst_case_subalgebra(modulus: Modulus, n: int, functional_row: Vec) -> LieL
         raise PreconditionViolation("the worst-case family needs an even level n = 2k")
     if n > N:
         raise UnsupportedPrecision(f"need N >= n, got N = {N}")
-    k = n // 2
-    pN = modulus.pN
-    w = tuple(x % pN for x in functional_row)
-    j = next((i for i in range(3) if w[i] % p != 0), None)
-    if j is None:
+    pN, pk = modulus.pN, p ** (n // 2)
+    kernel = _kernel_columns(functional_row, modulus, pk)
+    if kernel is None:
         raise NotSurjective("functional has no unit coordinate mod p^k")
-    winv = pow(w[j], -1, pN)
-    pk = p**k
-    cols = []
-    for i in range(3):
-        if i == j:
-            continue
-        v = [0, 0, 0]
-        v[i] = pk
-        v[j] = (-w[i] * winv * pk) % pN
-        cols.append(tuple(v))
+    j, cols = kernel
     cols.append(tuple((pk * pk) % pN if t == j else 0 for t in range(3)))
     for i in range(3):
         cols.append(tuple((p**n) % pN if t == i else 0 for t in range(3)))
@@ -501,25 +400,12 @@ def optimality_search(
     for v in _projective_triples(p, m):
         j = next(i for i in range(3) if v[i] % p != 0)
         vj_inv = pow(v[j], -1, q)
-        ok = True
-        for u in gens:
-            t = (u[j] * vj_inv) % q
-            if any((u[i] - t * v[i]) % q != 0 for i in range(3)):
-                ok = False
-                break
-        if ok:
+        if all((u[i] - u[j] * vj_inv * v[i]) % q == 0 for u in gens for i in range(3)):
             return True, {"kind": "rank1", "vector": v}
 
     for c in _projective_triples(p, m):
-        if (4 * c[0] * c[0] + 4 * c[1] * c[2]) % q != 0:
-            continue
         row = trace_pairing_row(c)
-        ok = True
-        for u in gens:
-            if _row_apply(row, u, q) != 0:
-                ok = False
-                break
-        if ok:
+        if quadric_residual(row, modulus) % q == 0 and all(_row_apply(row, u, q) == 0 for u in gens):
             return True, {"kind": "rank2", "functional": c}
 
     return False, None

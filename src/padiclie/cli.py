@@ -91,8 +91,9 @@ def _cmd_explog_selftest(args) -> Report:
 def _cmd_approx(args) -> Report:
     from .approx import (
         approximate_sl2,
+        guaranteed_exponent,
         optimality_search,
-        trace_functional,
+        trace_pairing_row,
         worst_case_subalgebra,
     )
 
@@ -105,7 +106,7 @@ def _cmd_approx(args) -> Report:
                                "worst_case": args.worst_case,
                                "certify_optimality": args.certify_optimality})
     if args.worst_case:
-        M = worst_case_subalgebra(modulus, args.n, trace_functional((1, 0, 0)))
+        M = worst_case_subalgebra(modulus, args.n, trace_pairing_row((1, 0, 0)))
     elif args.input:
         with open(args.input) as fh:
             M = LieLattice.from_json(json.load(fh))
@@ -117,9 +118,9 @@ def _cmd_approx(args) -> Report:
     else:
         raise ValueError("pass --input or --worst-case")
     result = approximate_sl2(M)
-    half = -(args.n // -2)
+    floor = guaranteed_exponent(args.p, args.n)
     case = {"result": result.to_json(), "m_achieved": result.m,
-            "floor": half, "passed": result.m >= half}
+            "floor": floor, "passed": result.m >= floor}
     if args.certify_optimality:
         refuted_at = None
         for m in range(result.m + 1, args.N - 1 + 1):

@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, prod
+from math import comb
 from typing import Iterator, Mapping
 
 import numpy as np

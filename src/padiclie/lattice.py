@@ -162,13 +162,12 @@ class SmithForm:
     modulus: Modulus
 
 
-def smith_form(columns: Sequence[Vec], modulus: Modulus, *, margin: int = 0) -> SmithForm:
+def smith_form(columns: Sequence[Vec], modulus: Modulus) -> SmithForm:
     """Elementary divisors and an adapted basis for the span of ``columns``.
 
     Pivots are chosen with minimal valuation, ties broken by (row, column)
     order, which makes the divisor sequence non-decreasing and the run
-    deterministic.  ``margin`` reserves precision headroom: the computation
-    refuses inputs whose divisor sum cannot be certified below N - margin.
+    deterministic.
     """
     p, N = modulus.p, modulus.N
     pN = modulus.pN
@@ -233,11 +232,6 @@ def smith_form(columns: Sequence[Vec], modulus: Modulus, *, margin: int = 0) -> 
     divisors_t = tuple(divisors)
     if any(divisors_t[i] > divisors_t[i + 1] for i in range(2)):
         raise InvariantViolation("divisors not sorted; pivoting invariant broken")
-    if margin > 0 and sum(d for d in divisors_t if d < N) > N - margin:
-        raise PrecisionExhausted(
-            f"divisor weight {sum(d for d in divisors_t if d < N)} leaves "
-            f"less than the required headroom {margin} below N = {N}"
-        )
     det_u = _det3(u_rows, pN)
     if det_u % p == 0:
         raise InvariantViolation("transform not unimodular; pivoting invariant broken")
@@ -374,9 +368,6 @@ class LieLattice:
     def contains(self, v: Vec) -> bool:
         return membership_mod(self, v, self.modulus.N)
 
-    def contains_lattice(self, other: "LieLattice") -> bool:
-        return all(self.contains(g) for g in other.generators)
-
     @cached_property
     def basis(self) -> tuple[Vec, ...]:
         """The Howell form of the lattice mod p^N (canonical: equal
@@ -460,15 +451,6 @@ def lattice_level(lat: LieLattice) -> int:
     if not lat.is_full_rank:
         raise PrecisionExhausted("level is defined for full-rank lattices only")
     return lat.divisors[-1]
-
-
-def saturate(lat_or_columns, modulus: Modulus | None = None) -> LieLattice:
-    """Isolated hull of a lattice or of the span of a generator list."""
-    if isinstance(lat_or_columns, LieLattice):
-        return lat_or_columns.saturated()
-    if modulus is None:
-        raise ValueError("modulus required when saturating a generator list")
-    return LieLattice.from_columns(lat_or_columns, modulus).saturated()
 
 
 def membership_mod(lat: LieLattice, v: Vec, m: int) -> bool:

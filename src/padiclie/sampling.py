@@ -8,11 +8,10 @@ uniformity.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from .core import MatP, Modulus, random_sl2
 from .explog import exp_extended
-from .lattice import BASIS, LieLattice, Vec, adjoint_matrix, apply_columns, vec_to_mat
+from .lattice import LieLattice, Vec, adjoint_matrix, apply_columns, vec_to_mat
 
 
 def random_congruence_domain_matrix(rng: random.Random, modulus: Modulus) -> MatP:
@@ -94,12 +93,12 @@ def random_exact_subalgebra(
     else:
         # kernel-of-functional worst-case shape for even n, else fall back
         if n % 2 == 0:
-            from .approx import trace_functional, worst_case_subalgebra
+            from .approx import trace_pairing_row, worst_case_subalgebra
 
             c0 = (rng.randrange(pN), rng.randrange(pN), rng.randrange(pN))
             if all(x % p == 0 for x in c0):
                 c0 = (1, c0[1], c0[2])
-            M = worst_case_subalgebra(modulus, n, trace_functional(c0))
+            M = worst_case_subalgebra(modulus, n, trace_pairing_row(c0))
             cols = list(M.generators)
         else:
             cols = [(0, 1, 0), (p**n % pN, 0, 0), (0, 0, p**n % pN)]

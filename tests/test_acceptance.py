@@ -34,7 +34,7 @@ from padiclie import (
     schmidt_check,
     worst_case_subalgebra,
 )
-from padiclie.approx import trace_functional
+from padiclie.approx import trace_pairing_row
 from padiclie.congcount import random_polynomial
 from padiclie.errors import IdenticallyZeroOnV, ZeroModP
 from padiclie.lattice import vec_scale
@@ -122,7 +122,7 @@ def test_criterion_2_approximation_lower_bound():
 def test_criterion_3_optimality_witness():
     start = time.perf_counter()
     m = Modulus(3, 7)
-    M = worst_case_subalgebra(m, 4, trace_functional((1, 0, 0)))
+    M = worst_case_subalgebra(m, 4, trace_pairing_row((1, 0, 0)))
     found3, _ = optimality_search(M, 3)
     found2, witness = optimality_search(M, 2)
     elapsed = time.perf_counter() - start

@@ -1,10 +1,8 @@
 import random
-from fractions import Fraction
 
 import pytest
 
 from padiclie import (
-    AnnihilatorPoint,
     LieLattice,
     MatP,
     Modulus,
@@ -21,21 +19,15 @@ from padiclie import (
     optimality_search,
     quadric_residual,
     select_r,
+    trace_pairing_row,
     worst_case_subalgebra,
 )
-from padiclie.approx import (
-    _projective_triples,
-    _row_lattice,
-    coordinate_functional,
-    trace_functional,
-    trace_pairing_row,
-)
+from padiclie.approx import _canonical_row, _projective_triples, _row_lattice
 from padiclie.errors import (
     ClosureBudgetExceeded,
     DegenerateSpan,
     NotSurjective,
     PreconditionViolation,
-    UnsupportedPrime,
 )
 from padiclie.lattice import BASIS, mat_to_vec, vec_scale, vec_to_mat
 from padiclie.sampling import random_exact_subalgebra
@@ -43,40 +35,51 @@ from padiclie.core import random_congruence_element, random_sl2, reduction_kerne
 
 
 def test_select_r_examples():
-    quarter = Fraction(1, 4)
-    assert select_r((0, 0, 4), quarter) == (2, 2)
-    assert select_r((2, 2, 2), quarter) == (0, 1)
-    assert select_r((0, 1, 3), quarter) == (1, 1)
+    assert select_r((0, 0, 4)) == (2, 2)
+    assert select_r((2, 2, 2)) == (0, 1)
+    assert select_r((0, 1, 3)) == (1, 1)
 
 
-def test_select_r_rejects_bad_constant():
+def test_select_r_rejects_level_zero():
     with pytest.raises(PreconditionViolation):
-        select_r((0, 0, 2), Fraction(1, 2))
-    with pytest.raises(PreconditionViolation):
-        select_r((0, 0, 0), Fraction(1, 4))
+        select_r((0, 0, 0))
+
+
+@pytest.mark.parametrize("pN", [(3, 4), (5, 3), (7, 2)])
+def test_trace_pairing_row_matches_paper_notation(pN):
+    # the row (A, B, C) = (c3, 2 c1, c2) is x -> tr(c x) for the matrix
+    # c = [[c1, c2], [c3, -c1]], and its residual is (2 c1)^2 + 4 c2 c3
+    m = Modulus(*pN)
+    q = m.pN
+    rng = random.Random(40 + m.p)
+    for _ in range(30):
+        c1, c2, c3 = c = tuple(rng.randrange(q) for _ in range(3))
+        x = tuple(rng.randrange(q) for _ in range(3))
+        row = trace_pairing_row(c)
+        cmat = MatP.of([[c1, c2], [c3, -c1]], m)
+        assert sum(r * v for r, v in zip(row, x)) % q == (cmat @ vec_to_mat(x, m)).trace()
+        assert quadric_residual(row, m) == ((2 * c1) ** 2 + 4 * c2 * c3) % q
 
 
 def test_annihilator_of_plane_examples():
     m = Modulus(5, 4)
     e, h, f = BASIS
+    # the Borel plane is killed by a pure C = c2 functional
     borel = annihilator_of_plane(e, h, m)
-    # the Borel plane is killed by a pure c2 functional
-    assert borel.c[0] % 5 == 0 and borel.c[2] % 5 == 0 and borel.c[1] % 5 != 0
-    assert quadric_residual(borel) == 0
+    assert borel == (0, 0, 1)
+    assert quadric_residual(borel, m) == 0
 
-    cartan_orth = annihilator_of_plane(e, f, m)
-    assert cartan_orth.c[1] % 5 == 0 and cartan_orth.c[2] % 5 == 0
-    assert cartan_orth.c[0] % 5 != 0
+    # the plane of e and f is killed by a pure B = 2 c1 functional
+    assert annihilator_of_plane(e, f, m) == (0, 1, 0)
 
     with pytest.raises(DegenerateSpan):
         annihilator_of_plane(e, vec_scale(6, e, m.pN), m)
-    with pytest.raises(UnsupportedPrime):
-        annihilator_of_plane(e, h, Modulus(2, 4))
+    assert annihilator_of_plane(e, h, Modulus(2, 4)) == (0, 0, 1)
 
 
 def test_annihilator_random_pairs_kill_their_plane():
     rng = random.Random(10)
-    for p in (3, 5, 7):
+    for p in (3, 5, 7, 2):
         m = Modulus(p, 5)
         q = m.pN
         done = 0
@@ -84,10 +87,10 @@ def test_annihilator_random_pairs_kill_their_plane():
             x1 = tuple(rng.randrange(q) for _ in range(3))
             x2 = tuple(rng.randrange(q) for _ in range(3))
             try:
-                point = annihilator_of_plane(x1, x2, m)
+                row = annihilator_of_plane(x1, x2, m)
             except DegenerateSpan:
                 continue
-            row = trace_pairing_row(point.c)
+            assert any(r % p for r in row)
             for x in (x1, x2):
                 assert sum(r * v for r, v in zip(row, x)) % q == 0
             done += 1
@@ -95,22 +98,23 @@ def test_annihilator_random_pairs_kill_their_plane():
 
 def test_quadric_residual_examples():
     m = Modulus(3, 4)
-    assert quadric_residual((1, 1, -1), m) == 0
-    assert quadric_residual((1, 0, 0), m) == 4
-    assert quadric_residual((0, 1, 0), m) == 0
+    assert quadric_residual(trace_pairing_row((1, 1, -1)), m) == 0
+    assert quadric_residual((-1, 2, 1), m) == 0
+    assert quadric_residual((0, 2, 0), m) == 4
+    assert quadric_residual((0, 0, 1), m) == 0
 
 
 def test_lift_quadric_examples():
     m = Modulus(5, 4)
-    point = AnnihilatorPoint.canonical((1, 1, 4), m)
-    assert quadric_residual(point) % 5 == 0
-    lifted = lift_quadric(point, 1)
-    assert quadric_residual(lifted) == 0
-    assert all((a - b) % 5 == 0 for a, b in zip(lifted.c, point.c))
-    assert lifted.c == AnnihilatorPoint.canonical((1, 1, -1), m).c
+    row = trace_pairing_row((1, 1, 4))
+    assert quadric_residual(row, m) % 5 == 0
+    lifted = lift_quadric(row, 1, m)
+    assert quadric_residual(lifted, m) == 0
+    assert all((a - b) % 5 == 0 for a, b in zip(lifted, row))
+    assert lifted == _canonical_row(trace_pairing_row((1, 1, -1)), m)
 
-    exact = AnnihilatorPoint.canonical((0, 1, 0), m)
-    assert lift_quadric(exact, 2) == exact
+    exact = trace_pairing_row((0, 1, 0))
+    assert lift_quadric(exact, 2, m) == exact
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -126,12 +130,12 @@ def test_lift_quadric_random(p):
         c2 = 1 + p * rng.randrange(q // p)
         c3_exact = (-c1 * c1 * pow(c2, -1, q)) % q
         c3 = (c3_exact + p**mm * rng.randrange(q // p**mm)) % q
-        point = AnnihilatorPoint.canonical((c1, c2, c3), m)
-        lifted = lift_quadric(point, mm)
-        assert quadric_residual(lifted) == 0
-        assert all((a - b) % p**mm == 0 for a, b in zip(lifted.c, point.c))
+        row = _canonical_row(trace_pairing_row((c1, c2, c3)), m)
+        lifted = lift_quadric(row, mm, m)
+        assert quadric_residual(lifted, m) == 0
+        assert all((a - b) % p**mm == 0 for a, b in zip(lifted, row))
         # one more lift is the identity (the step is its own fixed point)
-        assert lift_quadric(lifted, mm) == lifted
+        assert lift_quadric(lifted, mm, m) == lifted
         done += 1
 
 
@@ -199,25 +203,25 @@ def test_approximate_structured_and_random_families(p):
 
 def test_worst_case_examples():
     m = Modulus(3, 7)
-    W = worst_case_subalgebra(m, 4, trace_functional((1, 0, 0)))
+    W = worst_case_subalgebra(m, 4, trace_pairing_row((1, 0, 0)))
     assert lattice_level(W) == 4
     assert W.divisors == (2, 2, 4)
     assert is_subalgebra_mod(W, m.N - 1)
 
-    W2 = worst_case_subalgebra(m, 4, coordinate_functional(0))
+    W2 = worst_case_subalgebra(m, 4, (1, 0, 0))
     assert lattice_level(W2) == 4
     # the kernel of the e-coordinate contains h and f at depth p^2
     assert membership_mod(W2, vec_scale(9, (0, 1, 0), m.pN), m.N)
     assert membership_mod(W2, vec_scale(9, (0, 0, 1), m.pN), m.N)
 
     m2 = Modulus(5, 4)
-    W3 = worst_case_subalgebra(m2, 2, trace_functional((1, 0, 0)))
+    W3 = worst_case_subalgebra(m2, 2, trace_pairing_row((1, 0, 0)))
     assert W3.divisors == (1, 1, 2)
 
     with pytest.raises(NotSurjective):
         worst_case_subalgebra(m, 4, (3, 9, 27))
     with pytest.raises(PreconditionViolation):
-        worst_case_subalgebra(m, 3, coordinate_functional(0))
+        worst_case_subalgebra(m, 3, (1, 0, 0))
 
 
 def test_optimality_search_examples():
@@ -230,7 +234,7 @@ def test_optimality_search_examples():
         found, witness = optimality_search(padded, depth)
         assert found and witness["kind"] in ("rank1", "rank2")
 
-    W = worst_case_subalgebra(m, 4, trace_functional((1, 0, 0)))
+    W = worst_case_subalgebra(m, 4, trace_pairing_row((1, 0, 0)))
     found3, _ = optimality_search(W, 3)
     assert not found3
     found2, witness2 = optimality_search(W, 2)
@@ -331,7 +335,7 @@ def test_group_certificate_worst_case_all_candidates():
     # lattice-level exponents (deep containment at 2, refutation at 3) show
     # up at certificate depths 3 and 4.
     m = Modulus(3, 6)
-    W = worst_case_subalgebra(m, 4, trace_functional((1, 0, 0)))
+    W = worst_case_subalgebra(m, 4, trace_pairing_row((1, 0, 0)))
     res = approximate_sl2(W)
     assert res.m == 2
     gens = [exp_congruence(vec_to_mat(vec_scale(3, g, m.pN), m)) for g in W.generators]
@@ -346,20 +350,19 @@ def test_group_certificate_worst_case_all_candidates():
         candidate = LieLattice.from_columns([v], m).saturated()
         assert not group_certificate(closure, candidate, depth)
     for c in _projective_triples(3, depth - 1):
-        if (4 * c[0] * c[0] + 4 * c[1] * c[2]) % q_cand != 0:
+        row = trace_pairing_row(c)
+        if quadric_residual(row, m) % q_cand != 0:
             continue
-        candidate = _row_lattice(trace_pairing_row(c), m)
+        candidate = _row_lattice(row, m)
         assert not group_certificate(closure, candidate, depth)
 
 
-def test_approximate_p2_variant_behind_flag():
+def test_approximate_p2_runs_without_a_flag():
     m = Modulus(2, 8)
     M = LieLattice.from_columns(
         [(0, 1, 0), (2, 0, 0), vec_scale(2**4, (0, 0, 1), m.pN)], m
     )
-    with pytest.raises(UnsupportedPrime):
-        approximate_sl2(M)
-    res = approximate_sl2(M, allow_p2=True)
+    res = approximate_sl2(M)
     assert res.m >= -(4 // -2) - 1
     for g in M.generators:
         assert membership_mod(res.subalgebra, g, res.m)

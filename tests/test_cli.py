@@ -60,6 +60,16 @@ def test_approx_lattice_input(capsys, tmp_path):
         assert "config error" in capsys.readouterr().err
 
 
+def test_approx_runs_at_p2_against_its_floor(capsys, tmp_path):
+    # at p = 2 the guaranteed depth is ceil(n/2) - 1
+    path = tmp_path / "lattice.json"
+    path.write_text(json.dumps({"p": 2, "N": 8, "columns": [[0, 1, 0], [2, 0, 0], [0, 0, 16]]}))
+    code, rep = _run(capsys, ["approx", "--p", "2", "--n", "4", "--N", "8", "--input", str(path)])
+    assert code == 0
+    case = rep["cases"][0]
+    assert (case["floor"], case["m_achieved"], case["passed"]) == (1, 1, True)
+
+
 def test_approx_rejects_malformed_literal(capsys, tmp_path):
     path = tmp_path / "lattice.json"
     good = {"p": 3, "N": 7, "columns": [[0, 1, 0], [1, 0, 0], [0, 0, 81]]}

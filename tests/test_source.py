@@ -29,6 +29,27 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
+def _imported_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from (a.asname or a.name for a in node.names)
+
+
+def test_library_reads_every_import():
+    # an import that nothing in the module reads is dead weight;
+    # ``__init__`` imports to re-export and is exempt
+    found = []
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found += [f"{path.name}: {name}" for name in _imported_names(tree) if name not in read]
+    assert found == []
+
+
 # Every function the benchmark's tracer (perfbench/tracer.py) wraps by name,
 # with the parameters its work counters read from the call.
 TRACED = {
