@@ -98,7 +98,6 @@ def test_annihilator_random_pairs_kill_their_plane():
 
 def test_quadric_residual_examples():
     m = Modulus(3, 4)
-    assert quadric_residual(trace_pairing_row((1, 1, -1)), m) == 0
     assert quadric_residual((-1, 2, 1), m) == 0
     assert quadric_residual((0, 2, 0), m) == 4
     assert quadric_residual((0, 0, 1), m) == 0
