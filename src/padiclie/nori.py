@@ -10,10 +10,15 @@ residually nilpotent stratum.  The two defining identities
     span(log H_resunip) cap p sl2 = log(H cap K(p))
     <exp h_resnilp> cap K(p)      = exp(h cap p sl2)
 
-are checked as literal set equalities on enumerated elements, at every N:
+are checked as literal set equalities on enumerated elements, at every N.
 ``grpc_padic`` closes a complete generator set, one point of h per
 residually nilpotent class mod p and a basis of h cap p sl2 (its docstring
-gives the argument).
+gives the argument).  A round trip starts from a subgroup H and its h, so
+it first tries to prove <exp h_resnilp> = H by membership instead
+(``_exp_generates``): each generator of H is exp of a residually nilpotent
+point of h, and each exponential of a generating point lies in H.  Only
+when that proof fails is the group closed, by ``grpc_padic``, which stays
+the fallback and the tests' oracle.
 
 Over F_p this is Nori's correspondence (Nori, Invent. Math. 88, 1987):
 unipotent-generated subgroups of SL(2, F_p) correspond to nilpotently
@@ -65,7 +70,7 @@ from .errors import (
     PreconditionViolation,
     UnsupportedPrime,
 )
-from .explog import exp_extended_columns, log_extended_columns
+from .explog import exp_extended_columns, log_extended, log_extended_columns
 from .lattice import (
     LieLattice,
     Vec,
@@ -73,6 +78,7 @@ from .lattice import (
     bracket_witness,
     combination_columns,
     lattice_level,
+    mat_to_vec,
     mat_to_vec_columns,
     membership_mod_columns,
     vec_to_mat_columns,
@@ -571,6 +577,10 @@ def grpc_padic(L: LieLattice, *, cap: int = DEFAULT_CLOSURE_CAP) -> SubgroupClos
     references.  The tests compare the result with the closure of exp of
     every residually nilpotent point of L.  At N = 1 the lattice
     L cap p sl2 is zero and the set is exp of every nilpotent element of L.
+
+    The round trips call this only as the fallback where
+    ``_exp_generates`` cannot prove the group equal to the subgroup they
+    started from; the tests keep it as the oracle for that proof.
     """
     modulus = L.modulus
     if modulus.p < 5:
@@ -588,6 +598,52 @@ def _generating_points(L: LieLattice) -> tuple[np.ndarray, ...]:
     inner = L.intersect_scaled_ambient(1).generators
     deep = np.array(inner, dtype=stratum[0].dtype).reshape(len(inner), 3)
     return tuple(np.concatenate(col) for col in zip(stratum, deep.T))
+
+
+def _exp_generates(H: SubgroupClosure, h: LieLattice) -> bool:
+    """Whether <exp h_resnilp> = H, proved without closing a group.  True
+    when both of these hold:
+
+    * every generator g of H (``H.generators``, which generate H) is
+      residually unipotent, log g lies in h and exp(log g) = g, so g lies
+      in exp(h_resnilp) and H in <exp h_resnilp>;
+    * exp x lies in H for every x in ``_generating_points(h)``, so the
+      group those exponentials generate lies in H, and that group is
+      <exp h_resnilp> by the completeness argument in ``grpc_padic``.
+
+    False otherwise, which is where the identity can fail: the caller then
+    closes the group with ``grpc_padic`` (``grpc_bar`` at N = 1).  At
+    N = 1 log and exp are read from the series table for p, and the points
+    are every nilpotent of h, so the certificate is literal there.  Above
+    it the few generators take the scalar ``log_extended``, which costs
+    less than one column series call.
+    """
+    modulus = H.modulus
+    p, q, N = modulus.p, modulus.pN, modulus.N
+
+    def columns(rows, width):
+        return as_columns(np.array(rows, dtype=object).reshape(-1, width).T, q * q)
+
+    gens = columns([g.as_tuple() for g in H.generators], 4)
+    if not residually_unipotent_columns(gens, p).all():
+        return False
+    if N == 1:
+        table = _series_table(p)
+        logs, exp = table.unipotent_logs(element_codes(gens, p)), table.exp
+    else:
+        logs = columns([mat_to_vec(log_extended(g).matrix) for g in H.generators], 3)
+
+        def exp(v):
+            return exp_extended_columns(vec_to_mat_columns(v, q), modulus)
+
+    if not membership_mod_columns(h, logs, N).all():
+        return False
+    # one series call: the generators' logarithms, then the points
+    images = exp(tuple(np.concatenate(x) for x in zip(logs, _generating_points(h))))
+    n = len(gens[0])
+    if not all(np.array_equal(x[:n], g) for x, g in zip(images, gens)):
+        return False
+    return bool(H.contains_columns(*(x[n:] for x in images)).all())
 
 
 # ---------------------------------------------------------------------------
@@ -624,8 +680,11 @@ class RoundtripReport:
 def roundtrip_check_fp(p: int) -> RoundtripReport:
     """Verify both round trips over F_p on the full enumerations.
 
-    Each subgroup's lattice and each lattice's subgroup is formed once, and
-    every ``liec_bar`` and ``grpc_bar`` call reads the one series table for
+    Each subgroup's lattice and each lattice's subgroup is formed once.
+    The subgroup of L = liec_bar(H) is H itself when ``_exp_generates``
+    proves it by membership, which it does for every subgroup at the
+    budgeted primes; ``grpc_bar`` closes it otherwise.  Every ``liec_bar``,
+    ``_exp_generates`` and ``grpc_bar`` call reads the one series table for
     p: ``log_extended_columns`` runs once, over the unipotents of
     SL(2, F_p), and ``exp_extended_columns`` once, over the nilpotents of
     sl(2, F_p), the first time a prime is met.
@@ -643,7 +702,7 @@ def roundtrip_check_fp(p: int) -> RoundtripReport:
     for H in subgroups:
         try:
             L = lattices[H.closure.codes.tobytes()] = liec_bar(H)
-            back = closed[L] = grpc_bar(L)
+            back = closed[L] = H if _exp_generates(H.closure, L) else grpc_bar(L)
         except BracketClosureAnomaly as exc:
             report.anomalies.append(str(exc))
             continue
@@ -709,7 +768,10 @@ def roundtrip_check_padic(
 
     The logarithms of H_resunip are taken once: h is their span, and those
     of H cap K(p), which lies in H_resunip, are the ones at its elements
-    trivial mod p.  Every generator must live at ``modulus``.
+    trivial mod p.  When ``_exp_generates`` proves <exp h_resnilp> = H,
+    identity two's left side is H cap K(p), read from the same mask;
+    otherwise ``grpc_padic`` closes the group.  Every generator must live
+    at ``modulus``.
     """
     for g in (g for gens in samples for g in gens):
         if g.modulus != modulus:
@@ -735,8 +797,11 @@ def roundtrip_check_padic(
         report.checked += 1
 
         # identity two: <exp h_resnilp> cap K(p) = exp(h cap p sl2)
-        group = grpc_padic(h, cap=cap)
-        lhs = group.codes[in_principal_congruence_columns(group.columns(), p)]
+        if _exp_generates(closure, h):  # the group is H
+            lhs = element_codes(tuple(x[kernel] for x in resunip), q)
+        else:
+            group = grpc_padic(h, cap=cap)
+            lhs = group.codes[in_principal_congruence_columns(group.columns(), p)]
         rhs = exp_extended_columns(vec_to_mat_columns(inner.point_columns(), q), modulus)
         rhs = np.unique(element_codes(rhs, q))
         if not np.array_equal(lhs, rhs):

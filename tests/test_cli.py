@@ -70,6 +70,14 @@ def test_approx_runs_at_p2_against_its_floor(capsys, tmp_path):
     assert (case["floor"], case["m_achieved"], case["passed"]) == (1, 1, True)
 
 
+def test_approx_worst_case_runs_at_p2(capsys):
+    # the built-in worst case has a unit coordinate mod 2
+    code, rep = _run(capsys, ["approx", "--worst-case", "--p", "2", "--n", "4"])
+    assert code == 0
+    case = rep["cases"][0]
+    assert (case["floor"], case["m_achieved"], case["passed"]) == (1, 2, True)
+
+
 def test_approx_rejects_malformed_literal(capsys, tmp_path):
     path = tmp_path / "lattice.json"
     good = {"p": 3, "N": 7, "columns": [[0, 1, 0], [1, 0, 0], [0, 0, 81]]}

@@ -404,9 +404,11 @@ def test_roundtrip_fp_and_smallest_prime():
 
 
 def test_roundtrip_fp_failure_records_are_json(monkeypatch):
-    # a grpc_bar that returns the trivial group fails both directions; the
-    # group failure's witness is its closure's generators as matrix literals
-    monkeypatch.setattr(nori, "grpc_bar", lambda L: FpSubgroup.trivial(L.modulus.p))
+    # a liec_bar that returns the zero lattice holds no logarithm of a
+    # nontrivial generator, so the certificate declines and grpc_bar closes
+    # the trivial group: every nontrivial H fails, and the group failure's
+    # witness is its closure's generators as matrix literals
+    monkeypatch.setattr(nori, "liec_bar", lambda H: LieLattice.from_columns([], H.closure.modulus))
     rep = roundtrip_check_fp(5)
     groups = [f["witness"] for f in rep.failures if f["direction"] == "group"]
     nontrivial = [H for H in enumerate_unipotent_generated(5) if H.order > 1]
@@ -435,17 +437,35 @@ def test_roundtrip_fp_reuses_group_lattices(monkeypatch):
     }
 
 
-def test_roundtrip_fp_closes_each_algebra_once(monkeypatch):
-    calls = []
+def _seeded_padic_sets():
+    m = Modulus(5, 3)
+    return random_resunip_generator_sets(random.Random(20260810), m, 50), m
 
-    def counting(L):
-        calls.append(L.basis)
-        return grpc_bar(L)
 
-    monkeypatch.setattr(nori, "grpc_bar", counting)
-    rep = roundtrip_check_fp(7)
-    assert rep.passed and rep.checked == 20
-    assert len(calls) == len(set(calls)) == 10
+def _counting(monkeypatch, name):
+    """Patch nori's ``name`` to record each call in the returned list."""
+    calls, closer = [], getattr(nori, name)
+
+    def counting(L, **kwargs):
+        calls.append(L)
+        return closer(L, **kwargs)
+
+    monkeypatch.setattr(nori, name, counting)
+    return calls
+
+
+def test_passing_roundtrips_close_no_group(monkeypatch):
+    # a passing round trip proves <exp h_resnilp> = H by membership, so it
+    # never closes the group a second time
+    calls = _counting(monkeypatch, "grpc_bar")
+    for p in (5, 7, 11, 13):
+        rep = roundtrip_check_fp(p)
+        assert rep.passed and rep.checked == 2 * (p + 3)
+    assert calls == []
+    calls = _counting(monkeypatch, "grpc_padic")
+    samples, m = _seeded_padic_sets()
+    assert roundtrip_check_padic(samples, m).passed
+    assert calls == []
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
@@ -619,6 +639,78 @@ def test_roundtrip_padic_borel_preimage():
     deep = list(reduction_kernel_generators(m, 1))
     rep = roundtrip_check_padic([[u, *deep]], m)
     assert rep.passed, rep.failures
+
+
+# ---------------------------------------------------------------------------
+# The membership certificate against the closure it replaces
+# ---------------------------------------------------------------------------
+
+
+def test_certificate_matches_grpc_padic():
+    samples, _ = _seeded_padic_sets()
+    closures = [closure_of_generators(gens) for gens in samples]
+    for gens in random_resunip_generator_sets(random.Random(41), Modulus(5, 4), 8):
+        try:  # the cap keeps the test quick
+            closures.append(closure_of_generators(gens, cap=20_000))
+        except ClosureBudgetExceeded:
+            continue
+    assert len(closures) >= 54
+    for closure in closures:
+        h = liec_padic(closure)
+        assert nori._exp_generates(closure, h)
+        assert np.array_equal(grpc_padic(h).codes, closure.codes)
+
+
+def test_roundtrip_padic_report_equals_closing_path(monkeypatch):
+    samples, m = _seeded_padic_sets()
+    certified = roundtrip_check_padic(samples, m).to_json()
+    monkeypatch.setattr(nori, "_exp_generates", lambda H, h: False)
+    assert roundtrip_check_padic(samples, m).to_json() == certified
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_certificate_matches_grpc_bar(p):
+    for H in enumerate_unipotent_generated(p):
+        L = liec_bar(H)
+        assert nori._exp_generates(H.closure, L)
+        assert np.array_equal(grpc_bar(L).closure.codes, H.closure.codes)
+
+
+def test_certificate_declines_a_point_whose_exponential_leaves_h():
+    # the generator's logarithm lies in sl2 too, but exp of other points of
+    # sl2 lies outside the cyclic group
+    for m in (Modulus(5, 1), Modulus(5, 3)):
+        H = closure_of_generators([MatP.of([[1, 1], [0, 1]], m)])
+        assert nori._exp_generates(H, liec_padic(H))
+        assert not nori._exp_generates(H, LieLattice.scaled_ambient(m, 0))
+
+
+def test_certificate_declines_a_logarithm_that_exp_does_not_invert(monkeypatch):
+    # log(g^2) = 2 log g lies in h as log g does, but its exp is g^2, not g
+    m = Modulus(5, 3)
+    H = closure_of_generators([MatP.of([[1, 1], [0, 1]], m)])
+    h = liec_padic(H)
+    monkeypatch.setattr(nori, "log_extended", lambda g: log_extended(g.power(2)))
+    assert not nori._exp_generates(H, h)
+
+
+def test_certificate_declines_a_generator_that_is_not_residually_unipotent(monkeypatch):
+    m = Modulus(5, 3)
+    gens = [MatP.of([[1, 1], [0, 1]], m), MatP.of([[2, 0], [0, pow(2, -1, m.pN)]], m)]
+    closure = closure_of_generators(gens)
+    assert closure.order == 12_500
+    assert not nori._exp_generates(closure, liec_padic(closure))
+    calls = _counting(monkeypatch, "grpc_padic")
+    rep = roundtrip_check_padic([gens], m)
+    assert len(calls) == 1
+    assert rep.to_json() == {
+        "p": 5,
+        "subgroup_count": 1,
+        "algebra_count": 0,
+        "failures": [],
+        "anomalies": [],
+        "checked": 2,
+    }
 
 
 # ---------------------------------------------------------------------------
