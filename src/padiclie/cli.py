@@ -200,6 +200,9 @@ def _cmd_cdelta(args) -> Report:
                                "gamma0": args.gamma0, "full_level": args.full_level,
                                "decay_table": args.decay_table})
     gamma = json.loads(args.gamma)
+    modes = [args.gamma0 is not None, args.full_level is not None, args.decay_table]
+    if sum(modes) != 1:
+        raise ValueError("pass one of --gamma0, --full-level or --decay-table")
     if args.decay_table:
         primes = [int(t) for t in args.primes.split(",")]
         not_prime = [p for p in primes if not is_prime(p)]
@@ -214,16 +217,14 @@ def _cmd_cdelta(args) -> Report:
                 bound_ok = res.count**3 <= res.index**2
                 report.add_case(p=p, n=n, count=res.count, index=res.index,
                                 ratio=res.ratio, decay_bound_ok=bound_ok, passed=bound_ok)
-    elif args.gamma0:
+    elif args.gamma0 is not None:
         res = c_delta(gamma, Gamma0Spec(args.gamma0))
         report.add_case(M=args.gamma0, kind="gamma0", count=res.count,
                         index=res.index, ratio=res.ratio)
-    elif args.full_level:
+    else:
         res = c_delta(gamma, GammaFullSpec(args.full_level))
         report.add_case(M=args.full_level, kind="full", count=res.count,
                         index=res.index, ratio=res.ratio)
-    else:
-        raise ValueError("pass --gamma0, --full-level or --decay-table")
     return report
 
 

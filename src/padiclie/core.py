@@ -578,6 +578,15 @@ class _SortedRuns:
         return codes
 
 
+def _require_sl2(g: MatP, modulus: Modulus, role: str) -> None:
+    """Refuse g of another modulus (``ModulusMismatch``) or of det != 1
+    (``ValueError``)."""
+    if g.modulus != modulus:
+        raise ModulusMismatch(f"element lives mod {g.modulus.pN}, closure mod {modulus.pN}")
+    if g.det() != 1 % modulus.pN:
+        raise ValueError(f"{role} has det != 1 mod p^N")
+
+
 def _over_cap(size: int, cap: int) -> ClosureBudgetExceeded:
     return ClosureBudgetExceeded(f"closure exceeded cap {cap} (at least {size} elements)")
 
@@ -719,10 +728,7 @@ class SubgroupClosure:
 
     def extend(self, g: MatP, *, cap: int = DEFAULT_CLOSURE_CAP) -> "SubgroupClosure":
         """The closure of <H, g>; ``self`` when g is already a member."""
-        if g.modulus != self.modulus:
-            raise ModulusMismatch(f"element lives mod {g.modulus.pN}, closure mod {self.q}")
-        if g.det() != 1 % self.q:
-            raise ValueError("generator has det != 1 mod p^N")
+        _require_sl2(g, self.modulus, "generator")
         if self.contains(g):
             return self
         return self._extend(g, cap)
@@ -834,10 +840,7 @@ class SubgroupClosure:
         shares H's codes: conjugation is injective, so x H x^-1 inside H
         with equal orders is equality.  Otherwise it is formed from one
         product per element of H and a sort."""
-        if x.modulus != self.modulus:
-            raise ModulusMismatch(f"element lives mod {x.modulus.pN}, closure mod {self.q}")
-        if x.det() != 1 % self.q:
-            raise ValueError("conjugator has det != 1 mod p^N")
+        _require_sl2(x, self.modulus, "conjugator")
         if self._normalizes(x):
             return SubgroupClosure(self.modulus, generators, self._codes)
         q, h = self.q, self._codes
@@ -969,8 +972,12 @@ class GroupLevel:
 
     ``level`` is the least n with the full mod-p^n reduction kernel inside
     the generated subgroup, or None when no n <= N-1 works (reported as
-    ">= N").  ``witnesses`` are the kernel generators whose membership in
-    the closure proves the containment.
+    ">= N").  ``closure_order`` is the order of the subgroup mod p^N.
+    ``witnesses`` are ``reduction_kernel_generators(modulus, level)``
+    (empty when ``level`` is None).  When ``group_level`` closed the group,
+    their membership in the closure proves the containment.  On the
+    lattice path their logarithms lie in the Lie lattice L = log H of the
+    group, because p^level sl2 is inside L.
     """
 
     level: int | None
@@ -985,10 +992,30 @@ class GroupLevel:
 def group_level(
     generators: Sequence[MatP] | SubgroupClosure, *, cap: int = DEFAULT_CLOSURE_CAP
 ) -> GroupLevel:
-    """Level of the subgroup of SL(2, Z/p^N) generated by ``generators``;
-    a precomputed closure may be passed instead, and is not closed again."""
+    """Level of the subgroup H of SL(2, Z/p^N) generated by ``generators``.
+    A precomputed closure may be passed instead; it is not closed again.
+
+    For a generator list at p >= 5 with every generator = 1 mod p, no
+    closure is formed.  Such an H lies in K(p), and for p >= 5 every closed
+    subgroup of K(p) is saturable, since dim sl2 = 3 < p (Gonzalez-Sanchez
+    and Klopsch, J. Group Theory 12, 2009).  By Lazard's correspondence
+    (Publ. IHES 26, 1965), the subgroup of SL(2, Z_p) generated by lifts of
+    the generators and K(p^N) is then exp L.  Here L is the Lie lattice
+    generated by the logarithms of the generators and p^N sl2
+    (``lattice.lie_closure``).  So |H| = [L : p^N sl2], and K(p^n) lies in
+    H exactly when p^n sl2 lies in L, that is, when n is at least L's
+    largest divisor.  Every other input is closed and probed with the
+    kernel generators of each level.  Either way the generators are
+    validated in order, as ``SubgroupClosure.extend`` does (on the lattice
+    path all of them before the order is known), and an order above
+    ``cap`` raises ``ClosureBudgetExceeded``.
+    """
     if isinstance(generators, SubgroupClosure):
         closure = generators
+    elif generators and generators[0].modulus.p >= 5 and all(
+        in_principal_congruence(g, 1) for g in generators
+    ):
+        return _lie_group_level(generators, cap)
     else:
         closure = closure_of_generators(generators, cap=cap)
     modulus = closure.modulus
@@ -997,6 +1024,27 @@ def group_level(
         if all(closure.contains(w) for w in probes):
             return GroupLevel(level=n, closure_order=closure.order, witnesses=probes)
     return GroupLevel(level=None, closure_order=closure.order, witnesses=())
+
+
+def _lie_group_level(generators: Sequence[MatP], cap: int) -> GroupLevel:
+    """``group_level`` of generators in K(p), p >= 5, from the Lie lattice
+    of their logarithms."""
+    from .explog import log_extended
+    from .lattice import lattice_level, lie_closure, mat_to_vec
+
+    modulus = generators[0].modulus
+    logs = []
+    for g in generators:
+        _require_sl2(g, modulus, "generator")
+        logs.append(mat_to_vec(log_extended(g).matrix))
+    lat = lie_closure(logs, modulus)
+    order = lat.point_count()
+    if order > cap:
+        raise _over_cap(order, cap)
+    if not lat.is_full_rank:
+        return GroupLevel(level=None, closure_order=order, witnesses=())
+    level = lattice_level(lat)
+    return GroupLevel(level, order, reduction_kernel_generators(modulus, level))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Lattices in sl(2) at precision N: elementary divisors, bracket structure,
-saturation, subalgebra and membership tests.
+saturation, Lie closure, subalgebra and membership tests.
 
 Vectors are coordinate triples in the ordered basis (e, h, f) of sl(2),
 with e = [[0,1],[0,0]], h = [[1,0],[0,-1]], f = [[0,0],[1,0]].  A lattice is
@@ -525,6 +525,18 @@ def bracket_witness(lat: LieLattice, m: int) -> tuple[Vec, Vec] | None:
             if not membership_mod(lat, bracket(gens[i], gens[j], q), m):
                 return gens[i], gens[j]
     return None
+
+
+def lie_closure(columns: Sequence[Vec], modulus: Modulus) -> LieLattice:
+    """The smallest Lie sublattice of sl2 mod p^N that holds ``columns``.
+
+    Starts from their span and, while ``bracket_witness`` finds a pair of
+    generators whose bracket lies outside, adds that bracket.  Each step
+    enlarges the lattice, so there are at most 3N steps."""
+    lat = LieLattice.from_columns(columns, modulus)
+    while (pair := bracket_witness(lat, modulus.N)) is not None:
+        lat = LieLattice.from_columns((*lat.generators, bracket(*pair, modulus.pN)), modulus)
+    return lat
 
 
 def is_subalgebra_mod(lat: LieLattice, nu: int) -> bool:

@@ -292,6 +292,31 @@ def test_cdelta_decay_table_rejects_bad_ranges(capsys, option):
     assert "config error" in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("option", ["--gamma0=0", "--full-level=0", "--gamma0=1", "--full-level=-3"])
+def test_cdelta_level_below_two_reaches_the_spec(capsys, option):
+    # a level of 0 is passed, not missing: the spec refuses it
+    assert main(["cdelta", "--gamma", "[[1,1],[0,1]]", option]) == 2
+    captured = capsys.readouterr()
+    assert "config error: level M must be >= 2" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "modes",
+    [
+        [],
+        ["--gamma0=9", "--full-level=5"],
+        ["--gamma0=0", "--decay-table"],
+        ["--full-level=5", "--decay-table"],
+        ["--gamma0=9", "--full-level=5", "--decay-table"],
+    ],
+)
+def test_cdelta_takes_exactly_one_mode(capsys, modes):
+    assert main(["cdelta", "--gamma", "[[1,1],[0,1]]", *modes]) == 2
+    captured = capsys.readouterr()
+    assert "pass one of --gamma0, --full-level or --decay-table" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("p", ["4", "-5", "9", "3"])
 def test_nori_rejects_non_prime_or_small_p(capsys, p):
     assert main(["nori", f"--p={p}"]) == 2

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padiclie import core
+from padiclie import core, lattice
 from padiclie import (
     GroupLevel,
     MatP,
@@ -410,7 +410,7 @@ def test_nilpotent_pair_closes_without_dimino_rounds(monkeypatch):
         raise AssertionError("Dimino stage")
 
     monkeypatch.setattr(core, "_dimino_codes", refuse)
-    assert group_level(gens).closure_order == 7**5
+    assert closure_of_generators(gens).order == 7**5
 
 
 def _dimino_cases():
@@ -585,6 +585,89 @@ def test_group_level_full_group():
     gens = [MatP.of([[1, 1], [0, 1]], m), MatP.of([[1, 0], [1, 1]], m)]
     assert group_level(gens).level == 0
     assert group_level(closure_of_generators(gens)) == group_level(gens)
+
+
+def _lie_path_cases():
+    """Seeded generator sets in K(p), p >= 5: every reduction kernel K(p^n)
+    (with its level and order), one to three random congruence elements,
+    two pairs from K(p), whose lattice needs their bracket from N = 3, and
+    the identity alone."""
+    cases = []
+    for p in (5, 7, 11, 13):
+        for N in (2, 3, 4):
+            m = Modulus(p, N)
+            rng = random.Random(f"lie-level-{p}-{N}")
+            sets = [(list(reduction_kernel_generators(m, n)), (n if n < N else None, p ** (3 * (N - n))))
+                    for n in range(1, N + 1)]
+            sets += [([random_congruence_element(rng, m, rng.randrange(1, N + 1))
+                       for _ in range(rng.randrange(1, 4))], None) for _ in range(4)]
+            sets += [([random_congruence_element(rng, m, 1) for _ in range(2)], None) for _ in range(2)]
+            sets.append(([MatP.identity(m)], (None, 1)))
+            cases += [pytest.param(gens, known, id=f"{p}-{N}-{i}") for i, (gens, known) in enumerate(sets)]
+    return cases
+
+
+def _refuse_extend(self, g, cap):
+    raise AssertionError("closure engine")
+
+
+_ORACLE_CAP = 10**6
+
+
+@pytest.mark.parametrize("gens, known", _lie_path_cases())
+def test_group_level_lie_path_matches_closure(gens, known, monkeypatch):
+    # generators in K(p), p >= 5, take the lattice path and close nothing;
+    # the enumerated closure is the oracle up to its cap, and a kernel's
+    # level and order are known at any size
+    with monkeypatch.context() as patch:
+        patch.setattr(SubgroupClosure, "_extend", _refuse_extend)
+        fast = group_level(gens, cap=10**15)
+    if known is not None:
+        assert (fast.level, fast.closure_order) == known
+    if fast.closure_order <= _ORACLE_CAP:  # 103 of the 120 sets
+        assert fast == group_level(closure_of_generators(gens, cap=_ORACLE_CAP))
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [
+        reduction_kernel_generators(Modulus(3, 3), 1),  # p = 3
+        [*reduction_kernel_generators(Modulus(5, 2), 1), MatP.of([[1, 1], [0, 1]], Modulus(5, 2))],
+    ],
+    ids=["p3", "outside-K(p)"],
+)
+def test_group_level_other_inputs_close_the_group(gens, monkeypatch):
+    monkeypatch.setattr(SubgroupClosure, "_extend", _refuse_extend)
+    with pytest.raises(AssertionError, match="closure engine"):
+        group_level(list(gens))
+
+
+def test_group_level_of_a_closure_reads_the_closure(monkeypatch):
+    closure = closure_of_generators(reduction_kernel_generators(Modulus(5, 3), 1))
+
+    def refuse(*args):
+        raise AssertionError("lattice path")
+
+    monkeypatch.setattr(lattice, "lie_closure", refuse)
+    lvl = group_level(closure)
+    assert lvl.level == 1 and lvl.closure_order == 5**6
+
+
+def test_group_level_lie_path_refusals(monkeypatch):
+    # the same exception types as closing the group, without closing it
+    monkeypatch.setattr(SubgroupClosure, "_extend", _refuse_extend)
+    m = Modulus(5, 3)
+    kernel = list(reduction_kernel_generators(m, 1))
+    with pytest.raises(ValueError):
+        group_level([])
+    with pytest.raises(ValueError, match="det"):
+        group_level([*kernel, MatP.of([[6, 0], [0, 1]], m)])
+    with pytest.raises(ModulusMismatch):
+        group_level([*kernel, *reduction_kernel_generators(Modulus(5, 4), 1)])
+    order = 5**6
+    assert group_level(kernel, cap=order).closure_order == order
+    with pytest.raises(ClosureBudgetExceeded):
+        group_level(kernel, cap=order - 1)
 
 
 def test_matrix_json_literals():

@@ -19,6 +19,7 @@ from padiclie.errors import PrecisionExceeded
 from padiclie.lattice import (
     BASIS,
     bracket_witness,
+    lie_closure,
     mat_to_vec,
     membership_mod_columns,
     vec_add,
@@ -181,6 +182,34 @@ def test_bracket_witness_names_a_failing_pair():
     ef = LieLattice.from_columns([(1, 0, 0), (0, 0, 1)], m)
     x, y = bracket_witness(ef, 1)
     assert not membership_mod(ef, bracket(x, y, m.pN), 1)
+
+
+def _naive_lie_closure(columns, m):
+    """The fixed point of adding every pairwise bracket of the generators."""
+    L = LieLattice.from_columns(columns, m)
+    while True:
+        gens = L.generators
+        grown = LieLattice.from_columns(
+            [*gens, *(bracket(x, y, m.pN) for x in gens for y in gens)], m
+        )
+        if grown == L:
+            return L
+        L = grown
+
+
+@pytest.mark.parametrize("p, N", [(3, 3), (5, 2), (5, 4), (7, 3), (13, 2)])
+def test_lie_closure_matches_naive_fixed_point(p, N):
+    m = Modulus(p, N)
+    rng = random.Random(f"lie-closure-{p}-{N}")
+    for _ in range(30):
+        cols = [
+            vec_scale(p ** rng.randrange(N), tuple(rng.randrange(m.pN) for _ in range(3)), m.pN)
+            for _ in range(rng.randrange(1, 4))
+        ]
+        L = lie_closure(cols, m)
+        assert L == _naive_lie_closure(cols, m)
+        assert all(L.contains(v) for v in cols) and bracket_witness(L, N) is None
+    assert lie_closure([(0, 0, 0)], m) == LieLattice.from_columns([], m)
 
 
 def test_subalgebra_mod_monotone_in_nu():
