@@ -88,15 +88,17 @@ def parse_poly(text: str, nvars: int | None = None) -> IntPolynomial:
     """Parse expressions like ``x0^2+x1^2`` or ``3*x0*x1^2 - 2``.
 
     The grammar is sums of signed monomial products; anything else is
-    rejected.
+    rejected.  A run of signs composes (``- -`` is ``+``), and a ``*`` or a
+    sign must be followed by a factor, a ``*`` also preceded by one.
     """
     terms: dict[tuple[int, ...], int] = {}
     max_var = -1
     pending_sign = 1
     factors: list[tuple[int, int] | int] = []
+    last = None  # the last token: "factor" or its operator
 
     def flush():
-        nonlocal factors
+        nonlocal factors, pending_sign
         coeff = pending_sign
         exps: dict[int, int] = {}
         for f in factors:
@@ -108,25 +110,32 @@ def parse_poly(text: str, nvars: int | None = None) -> IntPolynomial:
         key_len = (max(exps) + 1) if exps else 0
         key = tuple(exps.get(i, 0) for i in range(key_len))
         terms[key] = terms.get(key, 0) + coeff
-        factors = []
+        factors, pending_sign = [], 1
 
     pos = 0
     for m in _TOKEN.finditer(text):
         if m.start() != pos:
             raise ValueError(f"cannot parse polynomial near {text[pos:]!r}")
         pos = m.end()
+        op = m.group("op")
+        if op == "*" and last != "factor" or op in ("+", "-") and last == "*":
+            raise ValueError(f"misplaced {op!r} in polynomial {text!r}")
+        last = op or "factor"
         if m.group("coeff") is not None:
             factors.append(int(m.group("coeff")))
         elif m.group("var") is not None:
             v = int(m.group("var")[1:])
             max_var = max(max_var, v)
             factors.append((v, int(m.group("exp") or 1)))
-        elif m.group("op") in "+-":
+        elif op in ("+", "-"):
             if factors:
                 flush()
-            pending_sign = 1 if m.group("op") == "+" else -1
+            if op == "-":
+                pending_sign = -pending_sign
     if pos != len(text):
         raise ValueError(f"cannot parse polynomial near {text[pos:]!r}")
+    if last not in (None, "factor"):
+        raise ValueError(f"polynomial {text!r} ends in {last!r}")
     if factors:
         flush()
     if not terms:

@@ -13,7 +13,6 @@ independent inputs can safely be processed in parallel.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterator, NamedTuple, Sequence
@@ -33,8 +32,8 @@ from .errors import (
 N0 = 2
 AMBIENT_DIM = 3
 
-DEFAULT_CLOSURE_CAP = int(os.environ.get("PADICLIE_CLOSURE_CAP", 1_000_000))
-DEFAULT_ENUM_CAP = int(os.environ.get("PADICLIE_ENUM_CAP", 10_000_000))
+DEFAULT_CLOSURE_CAP = 1_000_000
+DEFAULT_ENUM_CAP = 10_000_000
 
 Mat2 = tuple[tuple[int, int], tuple[int, int]]
 

@@ -9,9 +9,9 @@ Four flavours live here:
   ``exp_extended_columns`` / ``log_extended_columns`` on many elements at
   once;
 * ``exp_trunc`` / ``log_trunc``, the degree-(p-1) truncations over F_p on
-  nilpotents/unipotents.  They stay as API and as the oracle of the F_p
-  Nori round trip, which runs the column forms of the extended maps at
-  N = 1;
+  nilpotents/unipotents.  There (u - 1)^2 = 0 and x^2 = 0, so they are
+  u - 1 and 1 + x, the closed forms the F_p Nori round trip takes; they
+  stay as API and as that round trip's oracle;
 * ``exp_congruence_classes``, the induced map on classes mod p^n.
 
 Series are summed to a static cutoff chosen so every discarded term has

@@ -22,23 +22,21 @@ the fallback and the tests' oracle.
 
 Over F_p this is Nori's correspondence (Nori, Invent. Math. 88, 1987):
 unipotent-generated subgroups of SL(2, F_p) correspond to nilpotently
-generated Lie subalgebras of sl(2, F_p).  It is the same code at N = 1.
-A subalgebra is a ``LieLattice`` at precision 1; ``liec_bar`` spans
-logarithms as ``liec_padic`` does and ``grpc_bar`` closes the points
-``grpc_padic`` closes, reading the series from a table that holds log and
-exp over F_p for one prime, evaluated once.  There the logarithm of a
-unipotent u is u - 1 and the exponential of a nilpotent x is 1 + x, the
-truncated series ``log_trunc`` / ``exp_trunc``.  Bracket closure is
-checked at precision 1 over F_p and at precision N - 1 above it.  The
-correspondence is only guaranteed for p large; failures at small p are
-recorded as anomalies, never asserted away.
+generated Lie subalgebras of sl(2, F_p).  It is the same code at N = 1:
+a subalgebra is a ``LieLattice`` at precision 1, ``liec_bar`` is
+``liec_padic`` and ``grpc_bar`` is ``grpc_padic``.  Log and exp are the
+column maps ``_logs`` and ``_exps``; over F_p a unipotent u has
+(u - 1)^2 = 0 and a nilpotent x has x^2 = 0, so there they are the closed
+forms log u = u - 1 and exp x = 1 + x, and above N = 1 they run the
+column series.  Bracket closure is checked at precision max(N - 1, 1).
+The correspondence is only guaranteed for p large; failures at small p
+are recorded as anomalies, never asserted away.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import groupby, product
-from functools import lru_cache
 from math import prod
 from typing import Iterable, Iterator, Sequence
 
@@ -51,6 +49,7 @@ from .core import (
     Modulus,
     SubgroupClosure,
     as_columns,
+    checked_columns,
     closure_of_generators,
     closure_of_pool,
     element_codes,
@@ -59,18 +58,25 @@ from .core import (
     inverse_columns,
     mat_inverse,
     mul_columns,
+    residually_nilpotent_columns,
     residually_unipotent_columns,
 )
 from .enumeration import sl2_columns
 from .errors import (
     BracketClosureAnomaly,
     BudgetExceeded,
+    DomainViolation,
     InvariantViolation,
     ModulusMismatch,
     PreconditionViolation,
     UnsupportedPrime,
 )
-from .explog import exp_extended_columns, log_extended, log_extended_columns
+from .explog import (
+    _require_extended_prime,
+    exp_extended_columns,
+    log_extended,
+    log_extended_columns,
+)
 from .lattice import (
     LieLattice,
     Vec,
@@ -154,88 +160,24 @@ def h_plus(H: FpSubgroup) -> FpSubgroup:
     return result
 
 
-@dataclass(frozen=True, eq=False)
-class _SeriesTable:
-    """log and exp over F_p for one prime p: the logarithm of every
-    unipotent of SL(2, F_p), keyed by element code, and the exponential of
-    every nilpotent of sl(2, F_p), keyed by vector code."""
-
-    p: int
-    unipotent_codes: np.ndarray  # sorted element codes
-    logs: tuple[np.ndarray, ...]  # coordinate columns, by unipotent code
-    nilpotent_codes: np.ndarray  # sorted vector codes
-    exps: tuple[np.ndarray, ...]  # entry columns, by nilpotent code
-
-    def unipotent_logs(self, codes: np.ndarray) -> tuple[np.ndarray, ...]:
-        """The coordinate columns of the logarithms of the unipotents among
-        the elements with the given codes, in their order."""
-        pos = np.minimum(np.searchsorted(self.unipotent_codes, codes), len(self.unipotent_codes) - 1)
-        pos = pos[self.unipotent_codes[pos] == codes]
-        return tuple(x[pos] for x in self.logs)
-
-    def exp(self, v) -> tuple[np.ndarray, ...]:
-        """The entry columns of the exponentials of the nilpotents with
-        coordinate columns v, refusing (``ValueError``) a point that is not
-        nilpotent or whose coordinates are not residues in [0, p): its code
-        would name another point."""
-        v = as_columns(v, self.p**3)
-        codes = _vec_codes(v, self.p)
-        pos = np.minimum(np.searchsorted(self.nilpotent_codes, codes), len(self.nilpotent_codes) - 1)
-        reduced = all(x.size == 0 or (x.min() >= 0 and x.max() < self.p) for x in v)
-        if not (reduced and np.array_equal(self.nilpotent_codes[pos], codes)):
-            raise ValueError(f"exp is tabulated on the reduced nilpotents of sl(2, F_{self.p}) only")
-        return tuple(x[pos] for x in self.exps)
-
-
-@lru_cache(maxsize=None)
-def _series_table(p: int) -> _SeriesTable:
-    """The ``_SeriesTable`` for p, from one ``exp_extended_columns`` call on
-    the p^2 nilpotents of sl(2, F_p) and one ``log_extended_columns`` call
-    on their images, which are the unipotents of SL(2, F_p) (exp is a
-    bijection between the two)."""
-    modulus = Modulus(p, 1)
-    codes = np.arange(p**3)
-    x, y, z = codes // (p * p), codes // p % p, codes % p  # every vector, in code order
-    nilpotent = (y * y + x * z) % p == 0  # det of [[y, x], [z, -y]] is 0
-    v = (x[nilpotent], y[nilpotent], z[nilpotent])
-    exps = exp_extended_columns(vec_to_mat_columns(v, p), modulus)
-    order = np.argsort(element_codes(exps, p))
-    unipotents = tuple(e[order] for e in exps)
-    logs = mat_to_vec_columns(log_extended_columns(unipotents, modulus), p)
-    table = _SeriesTable(p, element_codes(unipotents, p), logs, codes[nilpotent], exps)
-    for column in (table.unipotent_codes, *table.logs, table.nilpotent_codes, *table.exps):
-        column.flags.writeable = False
-    return table
-
-
 def liec_bar(H: FpSubgroup) -> LieLattice:
-    """F_p-span of the truncated logarithms of the unipotents of H, grown
-    as ``liec_padic`` grows it, with the logarithms read from the series
-    table for H's prime.
+    """F_p-span of the logarithms u - 1 of the unipotents u of H:
+    ``liec_padic`` at N = 1.
 
     The span is expected to be bracket-closed for p large; a failure raises
     a recorded anomaly rather than passing silently.
     """
-    logs = _series_table(H.p).unipotent_logs(H.closure.codes)
-    L = _log_span(logs, H.closure.modulus)
-    if bracket_witness(L, 1) is not None:
-        raise BracketClosureAnomaly(
-            "span of logarithms is not bracket-closed", p=H.p, witness=H.canonical()
-        )
-    return L
+    return liec_padic(H.closure)
 
 
 def grpc_bar(L: LieLattice) -> FpSubgroup:
-    """Subgroup generated by exp of every nilpotent element of L, a lattice
-    at precision 1: the points ``grpc_padic`` closes, whose stratum at
-    N = 1 is every nilpotent element (all F_p-multiples of nilpotents are
-    again elements of L, so this covers the one-parameter subgroups), with
-    their exponentials read from the series table for L's prime."""
+    """Subgroup generated by exp x = 1 + x for every nilpotent element x of
+    L, a lattice at precision 1: ``grpc_padic`` at N = 1, whose stratum is
+    every nilpotent element (all F_p-multiples of nilpotents are again
+    elements of L, so this covers the one-parameter subgroups)."""
     if L.modulus.N != 1:
         raise PreconditionViolation(f"grpc_bar takes a lattice at precision 1, not {L.modulus.N}")
-    pool = _series_table(L.modulus.p).exp(_generating_points(L))
-    closure = SubgroupClosure.trivial(L.modulus).extend_by_pool(pool)
-    return FpSubgroup(closure)
+    return FpSubgroup(grpc_padic(L))
 
 
 def enumerate_unipotent_generated(p: int, *, cap: int = DEFAULT_ENUM_CAP) -> list[FpSubgroup]:
@@ -417,7 +359,8 @@ def enumerate_nilpotently_generated(p: int) -> list[LieLattice]:
     F_p^3.
 
     The points of a block of subspaces of one dimension k are formed at
-    once.  A subspace needs k independent nilpotent lines, so at least
+    once, and their nilpotency is read by code from one mask over F_p^3.
+    A subspace needs k independent nilpotent lines, so at least
     1 + k (p - 1) nilpotent points, and a plane span(u, v) is bracket-closed
     only if det(u, v, [u, v]) = 0 mod p; only a subspace passing both
     becomes a lattice, whose bracket closure is checked and which is
@@ -426,6 +369,9 @@ def enumerate_nilpotently_generated(p: int) -> list[LieLattice]:
     """
     _check_budgeted_prime(p)
     modulus = Modulus(p, 1)
+    codes = np.arange(p**3)
+    vectors = (codes // (p * p), codes // p % p, codes % p)  # in code order
+    nilpotent_by_code = residually_nilpotent_columns(vec_to_mat_columns(vectors, p), p)
     out = []
     for k, group in groupby(_all_subspaces(p), key=len):
         coeffs = np.array(list(product(range(p), repeat=k)), dtype=np.int64).reshape(p**k, k)
@@ -434,8 +380,7 @@ def enumerate_nilpotently_generated(p: int) -> list[LieLattice]:
             block = group[lo:lo + _SUBSPACE_BLOCK]
             bases = np.array(block, dtype=np.int64).reshape(len(block), k, 3)
             points = coeffs @ bases % p  # subspace x point x coordinate
-            x, y, z = np.moveaxis(points, -1, 0)
-            nilpotent = (y * y + x * z) % p == 0  # det of [[y, x], [z, -y]] is 0
+            nilpotent = nilpotent_by_code[_vec_codes(np.moveaxis(points, -1, 0), p)]
             keep = nilpotent.sum(axis=1) >= 1 + k * (p - 1)
             if k == 2:  # two nilpotent lines span 2p - 1 such points
                 u, v = bases[:, 0], bases[:, 1]
@@ -490,8 +435,8 @@ def liec_padic(
 
     The span grows greedily in code order: the first logarithm outside the
     lattice so far joins the spanning list, the lattice is rebuilt, and the
-    rest are tested again.  Bracket closure at precision N - 1 is asserted;
-    a failure raises an anomaly carrying the witness bracket.
+    rest are tested again.  Bracket closure at precision max(N - 1, 1) is
+    asserted; a failure raises an anomaly carrying the witness bracket.
     """
     if isinstance(generators, SubgroupClosure):
         closure = generators
@@ -504,13 +449,46 @@ def liec_padic(
 def _resunip_logs(closure: SubgroupClosure):
     """The residually unipotent elements of a closure as entry columns, in
     code order, and the coordinate columns of their logarithms (p >= 5)."""
-    modulus = closure.modulus
-    if modulus.p < 5:
-        raise UnsupportedPrime("precision-N correspondence needs p >= 5")
     cols = closure.columns()
-    resunip = residually_unipotent_columns(cols, modulus.p)
+    resunip = residually_unipotent_columns(cols, closure.modulus.p)
     elements = tuple(x[resunip] for x in cols)
-    return elements, mat_to_vec_columns(log_extended_columns(elements, modulus), modulus.pN)
+    return elements, _logs(elements, closure.modulus)
+
+
+def _logs(g, modulus: Modulus) -> tuple[np.ndarray, ...]:
+    """The coordinate columns of the logarithms of the residually unipotent
+    elements with entry columns g, residues mod p^N (p >= 5).  Over F_p,
+    (u - 1)^2 = 0 ends the series at its first term, so log u = u - 1;
+    above N = 1 the column series runs."""
+    if modulus.N > 1:
+        return mat_to_vec_columns(log_extended_columns(g, modulus), modulus.pN)
+    p = modulus.p
+    a, b, c, d = g
+    return mat_to_vec_columns(_nilpotent_mod_p(((a - 1) % p, b % p, c % p, (d - 1) % p), p), p)
+
+
+def _exps(v, modulus: Modulus) -> tuple[np.ndarray, ...]:
+    """The entry columns of the exponentials of the residually nilpotent
+    points with coordinate columns v, residues mod p^N (p >= 5).  Over
+    F_p, x^2 = 0 ends the series at its first term, so exp x = 1 + x;
+    above N = 1 the column series runs."""
+    x = vec_to_mat_columns(v, modulus.pN)
+    if modulus.N > 1:
+        return exp_extended_columns(x, modulus)
+    p = modulus.p
+    a, b, c, d = _nilpotent_mod_p(x, p)
+    return (a + 1) % p, b, c, (d + 1) % p
+
+
+def _nilpotent_mod_p(y, p: int) -> tuple[np.ndarray, ...]:
+    """Entry columns y over F_p, refused where the series refuse them:
+    ``UnsupportedPrime`` for p < 5 and ``DomainViolation`` for a matrix that
+    is not nilpotent mod p."""
+    _require_extended_prime(p)
+    y = checked_columns(y)
+    if not residually_nilpotent_columns(y, p).all():
+        raise DomainViolation("x (exp) or g - 1 (log) is not nilpotent mod p")
+    return y
 
 
 def _log_span(v, modulus: Modulus) -> LieLattice:
@@ -523,10 +501,11 @@ def _log_span(v, modulus: Modulus) -> LieLattice:
         lattice = LieLattice.from_columns(span_cols, modulus)
         rest = rest[1:]
         rest = rest[~membership_mod_columns(lattice, tuple(x[rest] for x in v), modulus.N)]
-    witness = bracket_witness(lattice, modulus.N - 1)
+    m = max(modulus.N - 1, 1)
+    witness = bracket_witness(lattice, m)
     if witness is not None:
         raise BracketClosureAnomaly(
-            "logarithm span is not bracket-closed at precision N - 1",
+            f"logarithm span is not bracket-closed mod p^{m}",
             p=modulus.p,
             witness=witness,
         )
@@ -547,9 +526,9 @@ def resnilp_stratum(L: LieLattice, *, cap: int = DEFAULT_ENUM_CAP) -> tuple[np.n
     total = prod(sizes)
     if total > cap:
         raise BudgetExceeded(f"stratum enumeration size {total} exceeds cap {cap}")
-    a, b, c = combination_columns(L.generators, sizes, L.modulus.pN)
-    nilpotent = (b * b + a * c) % p == 0  # det of [[b, a], [c, -b]] is 0
-    return a[nilpotent], b[nilpotent], c[nilpotent]
+    v = combination_columns(L.generators, sizes, L.modulus.pN)
+    nilpotent = residually_nilpotent_columns(vec_to_mat_columns(v, L.modulus.pN), p)
+    return tuple(x[nilpotent] for x in v)
 
 
 def grpc_padic(L: LieLattice, *, cap: int = DEFAULT_CLOSURE_CAP) -> SubgroupClosure:
@@ -582,12 +561,8 @@ def grpc_padic(L: LieLattice, *, cap: int = DEFAULT_CLOSURE_CAP) -> SubgroupClos
     ``_exp_generates`` cannot prove the group equal to the subgroup they
     started from; the tests keep it as the oracle for that proof.
     """
-    modulus = L.modulus
-    if modulus.p < 5:
-        raise UnsupportedPrime("precision-N correspondence needs p >= 5")
-    v = _generating_points(L)
-    pool = exp_extended_columns(vec_to_mat_columns(v, modulus.pN), modulus)
-    return SubgroupClosure.trivial(modulus).extend_by_pool(pool, cap=cap)
+    pool = _exps(_generating_points(L), L.modulus)
+    return SubgroupClosure.trivial(L.modulus).extend_by_pool(pool, cap=cap)
 
 
 def _generating_points(L: LieLattice) -> tuple[np.ndarray, ...]:
@@ -613,10 +588,9 @@ def _exp_generates(H: SubgroupClosure, h: LieLattice) -> bool:
 
     False otherwise, which is where the identity can fail: the caller then
     closes the group with ``grpc_padic`` (``grpc_bar`` at N = 1).  At
-    N = 1 log and exp are read from the series table for p, and the points
-    are every nilpotent of h, so the certificate is literal there.  Above
-    it the few generators take the scalar ``log_extended``, which costs
-    less than one column series call.
+    N = 1 the points are every nilpotent of h, so the certificate is
+    literal there.  The few generators take the scalar ``log_extended`` at
+    every N, which costs less than one column series call.
     """
     modulus = H.modulus
     p, q, N = modulus.p, modulus.pN, modulus.N
@@ -627,19 +601,11 @@ def _exp_generates(H: SubgroupClosure, h: LieLattice) -> bool:
     gens = columns([g.as_tuple() for g in H.generators], 4)
     if not residually_unipotent_columns(gens, p).all():
         return False
-    if N == 1:
-        table = _series_table(p)
-        logs, exp = table.unipotent_logs(element_codes(gens, p)), table.exp
-    else:
-        logs = columns([mat_to_vec(log_extended(g).matrix) for g in H.generators], 3)
-
-        def exp(v):
-            return exp_extended_columns(vec_to_mat_columns(v, q), modulus)
-
+    logs = columns([mat_to_vec(log_extended(g).matrix) for g in H.generators], 3)
     if not membership_mod_columns(h, logs, N).all():
         return False
-    # one series call: the generators' logarithms, then the points
-    images = exp(tuple(np.concatenate(x) for x in zip(logs, _generating_points(h))))
+    # one call: the generators' logarithms, then the points
+    images = _exps(tuple(np.concatenate(x) for x in zip(logs, _generating_points(h))), modulus)
     n = len(gens[0])
     if not all(np.array_equal(x[:n], g) for x, g in zip(images, gens)):
         return False
@@ -683,11 +649,8 @@ def roundtrip_check_fp(p: int) -> RoundtripReport:
     Each subgroup's lattice and each lattice's subgroup is formed once.
     The subgroup of L = liec_bar(H) is H itself when ``_exp_generates``
     proves it by membership, which it does for every subgroup at the
-    budgeted primes; ``grpc_bar`` closes it otherwise.  Every ``liec_bar``,
-    ``_exp_generates`` and ``grpc_bar`` call reads the one series table for
-    p: ``log_extended_columns`` runs once, over the unipotents of
-    SL(2, F_p), and ``exp_extended_columns`` once, over the nilpotents of
-    sl(2, F_p), the first time a prime is met.
+    budgeted primes; ``grpc_bar`` closes it otherwise.  Log and exp take
+    their closed forms over F_p, so no column series runs.
     """
     report = RoundtripReport(p=p)
     try:

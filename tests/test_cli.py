@@ -117,6 +117,11 @@ def test_missing_subcommand_exits_2(capsys):
     assert main([]) == 2
 
 
+def test_count_refuses_a_misplaced_product_sign(capsys):
+    assert main(["count", "--poly", "x0 * + x1", "--p", "5", "--n", "1"]) == 2
+    assert "misplaced" in capsys.readouterr().err
+
+
 def test_budget_exit_3(capsys):
     code = main(["count", "--poly", "x0+x1+x2", "--p", "101", "--n", "3",
                  "--mode", "affine"])

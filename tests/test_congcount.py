@@ -31,10 +31,14 @@ def test_parse_poly():
     assert dict(g.terms) == {(0, 0): -2, (1, 2): 3}
     h = parse_poly("-x0+2")
     assert dict(h.terms) == {(0,): 2, (1,): -1}
-    with pytest.raises(ValueError):
-        parse_poly("x0 $ x1")
-    with pytest.raises(ValueError):
-        parse_poly("")
+    # a run of signs composes
+    assert dict(parse_poly("x0 - - x1").terms) == {(1, 0): 1, (0, 1): 1}
+    assert dict(parse_poly("x0 - + x1").terms) == {(1, 0): 1, (0, 1): -1}
+    assert dict(parse_poly("- - x0 + - 2").terms) == {(1,): 1, (0,): -2}
+    # a * stands between two factors, and a sign precedes one
+    for text in ["x0 $ x1", "", "x0 * + x1", "x0 * - x1", "* x0", "x0 ** x1", "x0 *", "x0 -", "-"]:
+        with pytest.raises(ValueError):
+            parse_poly(text)
 
 
 def test_degree_respects_mod_p():

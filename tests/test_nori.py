@@ -41,8 +41,10 @@ from padiclie.core import (
 )
 from padiclie.enumeration import sl2_columns
 from padiclie.errors import (
+    BracketClosureAnomaly,
     BudgetExceeded,
     ClosureBudgetExceeded,
+    DomainViolation,
     InvariantViolation,
     ModulusMismatch,
     PreconditionViolation,
@@ -52,6 +54,7 @@ from padiclie.explog import exp_extended, exp_trunc, log_extended, log_trunc
 from padiclie.lattice import (
     bracket_witness,
     mat_to_vec,
+    mat_to_vec_columns,
     membership_mod,
     vec_add,
     vec_scale,
@@ -122,6 +125,22 @@ def test_liec_bar_examples():
     assert liec_bar(torus).rank == 0
     with pytest.raises(UnsupportedPrime):
         liec_bar(_cyclic(3, (1, 1, 0, 1)))
+
+
+def test_liec_bar_anomaly_carries_the_bracket_pair(monkeypatch):
+    # liec_bar checks bracket closure mod p where liec_padic does, and the
+    # anomaly carries the pair whose bracket leaves the span
+    pair = ((1, 0, 0), (0, 0, 1))
+    precisions = []
+
+    def witness(L, m):
+        precisions.append(m)
+        return pair
+
+    monkeypatch.setattr(nori, "bracket_witness", witness)
+    with pytest.raises(BracketClosureAnomaly) as err:
+        liec_bar(_generated_by(5, SL2_GENERATORS))
+    assert (err.value.p, err.value.witness, precisions) == (5, pair, [1])
 
 
 def test_grpc_bar_examples():
@@ -469,7 +488,8 @@ def test_passing_roundtrips_close_no_group(monkeypatch):
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
-def test_roundtrip_fp_evaluates_each_series_once(p, monkeypatch):
+def test_roundtrip_fp_runs_no_column_series(p, monkeypatch):
+    # over F_p log and exp are the closed forms u - 1 and 1 + x
     calls = []
     for name in ("log_extended_columns", "exp_extended_columns"):
         def counting(cols, modulus, _name=name, _series=getattr(nori, name)):
@@ -477,39 +497,57 @@ def test_roundtrip_fp_evaluates_each_series_once(p, monkeypatch):
             return _series(cols, modulus)
 
         monkeypatch.setattr(nori, name, counting)
-    nori._series_table.cache_clear()
     rep = roundtrip_check_fp(p)
     assert rep.passed and rep.checked == 2 * (p + 3)
-    assert sorted(calls) == ["exp_extended_columns", "log_extended_columns"]
+    assert calls == []
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
-def test_table_read_maps_match_precision_n_maps(p):
-    # liec_bar and grpc_bar read the series table; they equal liec_padic
-    # and grpc_padic, which evaluate the series on their own elements
-    lattices = []
-    borel = _generated_by(p, [(1, 1, 0, 1), (2, 0, 0, pow(2, -1, p))])  # not all unipotent
-    for H in [*enumerate_unipotent_generated(p), borel]:
-        L = liec_bar(H)
-        assert L == liec_padic(H.closure)
-        lattices.append(L)
-    for L in [*lattices, *enumerate_nilpotently_generated(p)]:
-        read, padic = grpc_bar(L), grpc_padic(L)
-        assert np.array_equal(read.closure.codes, padic.codes)
-        assert read.closure.generators == padic.generators
+def test_fp_closed_forms_match_column_series(p):
+    # at N = 1 _logs and _exps take their closed forms; the column series
+    # on every unipotent of SL(2, F_p) and every nilpotent of sl(2, F_p)
+    # are the oracle
+    m = Modulus(p, 1)
+    sl2 = sl2_columns(p)
+    unip = tuple(x[core.residually_unipotent_columns(sl2, p)] for x in sl2)
+    codes = np.arange(p**3)
+    v = (codes // (p * p), codes // p % p, codes % p)
+    nilp = tuple(x[residually_nilpotent_columns(vec_to_mat_columns(v, p), p)] for x in v)
+    assert len(unip[0]) == len(nilp[0]) == p * p
+    pairs = [
+        (nori._logs(unip, m), mat_to_vec_columns(explog.log_extended_columns(unip, m), p)),
+        (nori._exps(nilp, m), explog.exp_extended_columns(vec_to_mat_columns(nilp, p), m)),
+    ]
+    for closed, series in pairs:
+        assert [x.tolist() for x in closed] == [x.tolist() for x in series]
 
 
-def test_series_table_refuses_points_it_does_not_hold():
-    table = nori._series_table(7)
-    assert len(table.unipotent_codes) == len(table.nilpotent_codes) == 49
+def _series_exps(v, m):
+    return explog.exp_extended_columns(vec_to_mat_columns(v, m.pN), m)
+
+
+def _column(*entries):
+    return tuple(np.array([x]) for x in entries)
+
+
+def test_fp_closed_forms_refuse_what_the_series_refuse():
+    m, m3 = Modulus(7, 1), Modulus(3, 1)
     nilpotent = (np.array([1, 0]), np.array([0, 0]), np.array([0, 1]))
-    assert [tuple(map(int, e)) for e in zip(*table.exp(nilpotent))] == [(1, 1, 0, 1), (1, 0, 1, 1)]
-    # not nilpotent, past the last code, and (0, 7, 0), whose code is that of (1, 0, 0)
-    for v in [(1, 0, 1), (0, 1, 0), (7, 0, 0), (0, 7, 0), (0, -1, 0)]:
-        with pytest.raises(ValueError):
-            table.exp(tuple(np.array([x]) for x in v))
-    with pytest.raises(UnsupportedPrime):
-        nori._series_table(3)
+    assert [tuple(map(int, e)) for e in zip(*nori._exps(nilpotent, m))] == [(1, 1, 0, 1), (1, 0, 1, 1)]
+    # both reduce the residues they are given: (7, 0, 0) is the point 0
+    for exps in (nori._exps, _series_exps):
+        assert [x.tolist() for x in exps(_column(7, 0, 0), m)] == [[1], [0], [0], [1]]
+        # not nilpotent mod 7; (0, -1, 0) is diag(-1, 1)
+        for v in [(1, 0, 1), (0, 1, 0), (0, -1, 0)]:
+            with pytest.raises(DomainViolation):
+                exps(_column(*v), m)
+        with pytest.raises(UnsupportedPrime):
+            exps(nilpotent, m3)
+    for logs in (nori._logs, explog.log_extended_columns):
+        with pytest.raises(DomainViolation):
+            logs(_column(2, 0, 0, 4), m)
+        with pytest.raises(UnsupportedPrime):
+            logs(_column(1, 1, 0, 1), m3)
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])

@@ -29,6 +29,23 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
+_ENVIRONMENT = ("environ", "environb", "getenv", "getenvb")
+
+
+def test_library_reads_no_environment():
+    # every default is a constant of the source, so a result depends on the
+    # arguments alone and never on the environment the process started in
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr in _ENVIRONMENT
+        or isinstance(node, ast.Name) and node.id in _ENVIRONMENT
+        or isinstance(node, ast.ImportFrom) and any(a.name in _ENVIRONMENT for a in node.names)
+    ]
+    assert found == []
+
+
 def _imported_names(tree):
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
