@@ -24,13 +24,20 @@ Over F_p this is Nori's correspondence (Nori, Invent. Math. 88, 1987):
 unipotent-generated subgroups of SL(2, F_p) correspond to nilpotently
 generated Lie subalgebras of sl(2, F_p).  It is the same code at N = 1:
 a subalgebra is a ``LieLattice`` at precision 1, ``liec_bar`` is
-``liec_padic`` and ``grpc_bar`` is ``grpc_padic``.  Log and exp are the
-column maps ``_logs`` and ``_exps``; over F_p a unipotent u has
-(u - 1)^2 = 0 and a nilpotent x has x^2 = 0, so there they are the closed
-forms log u = u - 1 and exp x = 1 + x, and above N = 1 they run the
-column series.  Bracket closure is checked at precision max(N - 1, 1).
-The correspondence is only guaranteed for p large; failures at small p
-are recorded as anomalies, never asserted away.
+``liec_padic`` and ``grpc_bar`` is ``grpc_padic``.  Log and exp are column
+maps: ``_resunip_logs`` masks the residually unipotent elements of a
+closure and takes their logarithms, and ``_exps`` takes exponentials.
+Over F_p a unipotent u has (u - 1)^2 = 0 and a nilpotent x has x^2 = 0,
+so there they are the closed forms log u = u - 1 and exp x = 1 + x, and
+above N = 1 they run the column series.  Bracket closure is checked at
+precision max(N - 1, 1).  The correspondence is only guaranteed for p
+large; failures at small p are recorded as anomalies, never asserted away.
+
+Both F_p enumerations start from the p + 1 lines, unipotent or nilpotent.
+``enumerate_unipotent_generated`` builds every cyclic group <u> from one
+column product, and extends only the first of them further;
+``enumerate_nilpotently_generated`` checks only the spans of nilpotent
+lines, which hold every subspace spanned by its nilpotent elements.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import groupby, product
 from math import prod
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -83,6 +90,7 @@ from .lattice import (
     bracket,
     bracket_witness,
     combination_columns,
+    howell_form,
     lattice_level,
     mat_to_vec,
     mat_to_vec_columns,
@@ -100,11 +108,18 @@ class FpSubgroup:
     """A subgroup of SL(2, F_p): the closure that holds its elements and
     the generators that built them (``closure.generators``, ``MatP``s at
     ``Modulus(p, 1)``), which also lets it be extended by a generator
-    without closing again.
+    without closing again.  A closure above precision 1 is refused
+    (``PreconditionViolation``).
     Subgroups are compared by ``canonical()`` or by their closures' codes.
     """
 
     closure: SubgroupClosure
+
+    def __post_init__(self):
+        if self.closure.modulus.N != 1:
+            raise PreconditionViolation(
+                f"an F_p subgroup is a closure at precision 1, not {self.closure.modulus.N}"
+            )
 
     @classmethod
     def generated_by(cls, p: int, generators: Iterable[MatP]) -> "FpSubgroup":
@@ -189,21 +204,24 @@ def enumerate_unipotent_generated(p: int, *, cap: int = DEFAULT_ENUM_CAP) -> lis
     every unipotent of the set H <u> H: a unipotent u != 1 has order p, so
     u^k generates <u> for p not dividing k, and <H, h u^k h'> = <H, u> for
     h, h' in H; for p dividing k, h u^k h' lies in H and adds nothing.
-    Conjugation is an automorphism, so when H = x H0 x^-1 for a subgroup
-    H0 already extended, <H, u> = x <H0, x^-1 u x> x^-1: H's extensions are
-    conjugated from H0's instead of built (``_transported``).  At the
-    budgeted primes the p + 1 Sylow p-subgroups are conjugate, so the
-    sweep takes p + 2 stages: one per Sylow p-subgroup from the trivial
-    group and one from the first of them to the full group (the tests
-    count them).  A unipotent is skipped only when the subgroup it would
-    give from H is already known, so each subgroup is still first found by
-    the same pair (H, u), with the same generators.  Every extension
-    of the first Sylow p-subgroup is SL(2, F_p), which each conjugator
-    normalizes, so ``SubgroupClosure.conjugate`` hands the other Sylow
-    p-subgroups its codes unchanged.  The count of subgroups is
-    cross-checked against the classification of subgroups of SL(2, F_p)
-    containing p-elements: the trivial group, the p + 1 Sylow p-subgroups,
-    and the full group, so p + 3 in total.
+    From the trivial group that set is <u> itself, which is already the
+    extension, so every cyclic group <u> is built at once from the columns
+    of all unipotents (``_cyclic_extensions``); they are the p + 1 Sylow
+    p-subgroups.  Conjugation is an automorphism, so when H = x H0 x^-1
+    for a subgroup H0 already extended, <H, u> = x <H0, x^-1 u x> x^-1:
+    H's extensions are conjugated from H0's instead of built
+    (``_transported``).  At the budgeted primes the Sylow p-subgroups are
+    conjugate, so only the first of them is extended, by one stage to the
+    full group (the tests count the stages).  A unipotent is skipped only
+    when the subgroup it would give from H is already known, so each
+    subgroup is still first found by the same pair (H, u), with the same
+    generators.  Every extension of the first Sylow p-subgroup is
+    SL(2, F_p), which each conjugator normalizes, so
+    ``SubgroupClosure.conjugate`` hands the other Sylow p-subgroups its
+    codes unchanged.  The count of subgroups is cross-checked against the
+    classification of subgroups of SL(2, F_p) containing p-elements: the
+    trivial group, the p + 1 Sylow p-subgroups, and the full group, so
+    p + 3 in total.
 
     p must be a prime in {5, 7, 11, 13} (``UnsupportedPrime`` below 5 or
     for a non-prime, ``BudgetExceeded`` above 13), and more than ``cap``
@@ -216,11 +234,25 @@ def enumerate_unipotent_generated(p: int, *, cap: int = DEFAULT_ENUM_CAP) -> lis
     order = np.argsort(codes)
     unip, unip_codes = tuple(x[order] for x in unip), codes[order]
     # a closure's sorted code array is canonical, so its bytes key the subgroup
-    seen: dict[bytes, FpSubgroup] = {}
     trivial = FpSubgroup.trivial(p)
-    seen[trivial.closure.codes.tobytes()] = trivial
+    seen = {trivial.closure.codes.tobytes(): trivial}
+
+    def found(extensions: list[tuple[MatP, SubgroupClosure]]) -> list[FpSubgroup]:
+        """The subgroups among the extensions not seen before, recorded."""
+        new = []
+        for u, closure in extensions:
+            key = closure.codes.tobytes()
+            if key not in seen:
+                if len(seen) + 1 > cap:
+                    raise BudgetExceeded(
+                        f"subgroup count exceeded cap {cap} (at least {len(seen) + 1} subgroups)"
+                    )
+                seen[key] = FpSubgroup(closure)
+                new.append(seen[key])
+        return new
+
     swept: list[tuple[FpSubgroup, list[tuple[MatP, SubgroupClosure]], np.ndarray]] = []
-    frontier = [trivial]
+    frontier = found(_cyclic_extensions(trivial, unip, unip_codes)[0])
     while frontier:
         nxt = []
         for H in frontier:
@@ -232,16 +264,7 @@ def enumerate_unipotent_generated(p: int, *, cap: int = DEFAULT_ENUM_CAP) -> lis
             else:
                 extensions, table = _swept(H, unip, unip_codes)
                 swept.append((H, extensions, table))
-            for u, closure in extensions:
-                key = closure.codes.tobytes()
-                if key not in seen:
-                    if len(seen) + 1 > cap:
-                        raise BudgetExceeded(
-                            f"subgroup count exceeded cap {cap} (at least {len(seen) + 1} subgroups)"
-                        )
-                    extended = FpSubgroup(closure)
-                    seen[key] = extended
-                    nxt.append(extended)
+            nxt += found(extensions)
         frontier = nxt
     # codes order like (a, b, c, d) tuples, as entries lie in [0, p)
     subgroups = sorted(seen.values(), key=lambda H: (H.order, H.closure.codes.tolist()))
@@ -297,6 +320,31 @@ def _swept(
     return extensions, table
 
 
+def _cyclic_extensions(
+    trivial: FpSubgroup, unip: tuple[np.ndarray, ...], unip_codes: np.ndarray
+) -> tuple[list[tuple[MatP, SubgroupClosure]], np.ndarray]:
+    """``_swept`` of the trivial group from one column product.  Each
+    unipotent u != 1 gives the row of sorted codes of
+    <u> = {1 + k (u - 1) : k < p}, which is the closure ``extend`` builds
+    from u; equal rows are equal groups, so one ``np.unique`` over the rows
+    gives the extensions, each with the first u of its group in code order,
+    and the table."""
+    p, modulus = trivial.p, trivial.closure.modulus
+    rest = np.flatnonzero(~trivial.closure.contains_columns(*unip))
+    k = np.arange(p)
+    cyclic = [((e + k * (x[rest, None] - e)) % p).ravel() for x, e in zip(unip, (1, 0, 0, 1))]
+    rows = np.sort(element_codes(cyclic, p).reshape(len(rest), p), axis=1)
+    groups, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+    by_first = np.argsort(first)
+    table = np.full(len(unip_codes), -1)
+    table[rest] = np.argsort(by_first)[inverse.ravel()]  # the inverse permutation
+    extensions = []
+    for j in by_first:
+        u = _column_mat(unip, rest[first[j]], modulus)
+        extensions.append((u, SubgroupClosure(modulus, (u,), groups[j])))
+    return extensions, table
+
+
 def _conjugator(H0: FpSubgroup, H: FpSubgroup, sl2: tuple[np.ndarray, ...]) -> MatP | None:
     """The first x in ``sl2_columns`` order with x H0 x^-1 = H, or None.
     H0 and H have equal order, so x H0 x^-1 inside H, tested on the
@@ -349,70 +397,60 @@ def _transported(
     return extensions
 
 
-# Subspaces of one dimension are scanned this many at a time.
-_SUBSPACE_BLOCK = 16
-
-
 def enumerate_nilpotently_generated(p: int) -> list[LieLattice]:
     """All Lie subalgebras of sl(2, F_p) spanned by their nilpotent
-    elements, as lattices at precision 1, by scanning every subspace of
-    F_p^3.
+    elements, as lattices at precision 1, from spans of nilpotent lines.
 
-    The points of a block of subspaces of one dimension k are formed at
-    once, and their nilpotency is read by code from one mask over F_p^3.
-    A subspace needs k independent nilpotent lines, so at least
-    1 + k (p - 1) nilpotent points, and a plane span(u, v) is bracket-closed
-    only if det(u, v, [u, v]) = 0 mod p; only a subspace passing both
-    becomes a lattice, whose bracket closure is checked and which is
-    compared with the lattice its nilpotent points span.  p is validated
-    as in ``enumerate_unipotent_generated``.
+    Why the candidates are complete.  A subspace spanned by its nilpotent
+    elements has a basis of them, so it is spanned by at most 3 nilpotent
+    lines: it is {0}, one of the p + 1 lines, the plane of two lines, or
+    F_p^3.  A plane span(u, v) is bracket-closed exactly when [u, v] lies
+    in it, that is when det(u, v, [u, v]) = 0 mod p, which is tested on
+    every pair of lines at once; F_p^3 is a candidate when the lines span
+    it.  Each candidate is the lattice of its reduced echelon basis (the
+    Howell form at N = 1), and it is kept when ``bracket_witness`` finds no
+    pair leaving it and its nilpotent points span it.  The points of the
+    candidates of one dimension are formed at once, and their nilpotency
+    is read by code from one mask over F_p^3.  The result is in the order
+    of the reduced echelon bases of all subspaces (``_subspace_order``).
+    p is validated as in ``enumerate_unipotent_generated``.
     """
     _check_budgeted_prime(p)
     modulus = Modulus(p, 1)
     codes = np.arange(p**3)
     vectors = (codes // (p * p), codes // p % p, codes % p)  # in code order
     nilpotent_by_code = residually_nilpotent_columns(vec_to_mat_columns(vectors, p), p)
+    x, y, z = vectors
+    leading_one = (x == 1) | (x == 0) & ((y == 1) | (y == 0) & (z == 1))
+    lines = np.stack(vectors, axis=1)[nilpotent_by_code & leading_one]  # one point per line
+    u, v = (lines[i] for i in np.triu_indices(len(lines), 1))
+    w = np.stack(bracket(tuple(u.T), tuple(v.T), p), axis=1)
+    closed = (u * np.cross(v, w)).sum(axis=1) % p == 0
+    candidates = {(), *((line,) for line in map(tuple, lines.tolist()))}
+    pairs = zip(u[closed].tolist(), v[closed].tolist())
+    candidates.update(howell_form(pair, modulus) for pair in pairs)
+    span = howell_form(lines.tolist(), modulus)
+    if len(span) == 3:
+        candidates.add(span)
     out = []
-    for k, group in groupby(_all_subspaces(p), key=len):
-        coeffs = np.array(list(product(range(p), repeat=k)), dtype=np.int64).reshape(p**k, k)
+    for k, group in groupby(sorted(candidates, key=_subspace_order), key=len):
         group = list(group)
-        for lo in range(0, len(group), _SUBSPACE_BLOCK):
-            block = group[lo:lo + _SUBSPACE_BLOCK]
-            bases = np.array(block, dtype=np.int64).reshape(len(block), k, 3)
-            points = coeffs @ bases % p  # subspace x point x coordinate
-            nilpotent = nilpotent_by_code[_vec_codes(np.moveaxis(points, -1, 0), p)]
-            keep = nilpotent.sum(axis=1) >= 1 + k * (p - 1)
-            if k == 2:  # two nilpotent lines span 2p - 1 such points
-                u, v = bases[:, 0], bases[:, 1]
-                w = np.stack(bracket(tuple(u.T), tuple(v.T), p), axis=1)
-                keep &= (u * np.cross(v, w)).sum(axis=1) % p == 0
-            for i in np.flatnonzero(keep):
-                L = LieLattice.from_columns(block[i], modulus)
-                if bracket_witness(L, 1) is not None:
-                    continue
-                if LieLattice.from_columns(points[i][nilpotent[i]].tolist(), modulus) == L:
-                    out.append(L)
+        coeffs = np.array(list(product(range(p), repeat=k)), dtype=np.int64).reshape(p**k, k)
+        points = coeffs @ np.array(group, dtype=np.int64).reshape(len(group), k, 3) % p
+        nilpotent = nilpotent_by_code[_vec_codes(np.moveaxis(points, -1, 0), p)]
+        for basis, subspace, mask in zip(group, points, nilpotent):
+            L = LieLattice.from_columns(basis, modulus)
+            if bracket_witness(L, 1) is not None:
+                continue
+            if LieLattice.from_columns(subspace[mask].tolist(), modulus) == L:
+                out.append(L)
     return out
 
 
-def _all_subspaces(p: int) -> Iterator[tuple[Vec, ...]]:
-    """Canonical echelon bases of every subspace of F_p^3, all dimensions,
-    enumerated directly from the reduced echelon shapes (p^2 + p + 1 each
-    in dimensions one and two)."""
-    yield ()
-    for a in range(p):
-        for b in range(p):
-            yield ((1, a, b),)
-    for b in range(p):
-        yield ((0, 1, b),)
-    yield ((0, 0, 1),)
-    for a in range(p):
-        for b in range(p):
-            yield ((1, 0, a), (0, 1, b))
-    for a in range(p):
-        yield ((1, a, 0), (0, 0, 1))
-    yield ((0, 1, 0), (0, 0, 1))
-    yield ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+def _subspace_order(basis: tuple[Vec, ...]) -> tuple:
+    """The sort key of a reduced echelon basis of a subspace of F_p^3:
+    dimension, pivot columns, then entries."""
+    return len(basis), [row.index(1) for row in basis], basis
 
 
 # ---------------------------------------------------------------------------
@@ -448,53 +486,46 @@ def liec_padic(
 
 def _resunip_logs(closure: SubgroupClosure):
     """The residually unipotent elements of a closure as entry columns, in
-    code order, and the coordinate columns of their logarithms (p >= 5)."""
-    cols = closure.columns()
-    resunip = residually_unipotent_columns(cols, closure.modulus.p)
-    elements = tuple(x[resunip] for x in cols)
-    return elements, _logs(elements, closure.modulus)
-
-
-def _logs(g, modulus: Modulus) -> tuple[np.ndarray, ...]:
-    """The coordinate columns of the logarithms of the residually unipotent
-    elements with entry columns g, residues mod p^N (p >= 5).  Over F_p,
-    (u - 1)^2 = 0 ends the series at its first term, so log u = u - 1;
-    above N = 1 the column series runs."""
-    if modulus.N > 1:
-        return mat_to_vec_columns(log_extended_columns(g, modulus), modulus.pN)
+    code order, and the coordinate columns of their logarithms (p >= 5, else
+    ``UnsupportedPrime``).  The domain is checked once, by the mask: g is
+    residually unipotent when g - 1 is nilpotent mod p.  Over F_p,
+    (g - 1)^2 = 0 then ends the series at its first term, so log g = g - 1;
+    above N = 1 the column series runs on the masked elements."""
+    modulus = closure.modulus
     p = modulus.p
-    a, b, c, d = g
-    return mat_to_vec_columns(_nilpotent_mod_p(((a - 1) % p, b % p, c % p, (d - 1) % p), p), p)
+    _require_extended_prime(p)
+    a, b, c, d = cols = closure.columns()
+    y = (a - 1, b, c, d - 1)  # g - 1
+    resunip = residually_nilpotent_columns(y, p)
+    elements = tuple(x[resunip] for x in cols)
+    if modulus.N > 1:
+        return elements, mat_to_vec_columns(log_extended_columns(elements, modulus), modulus.pN)
+    return elements, mat_to_vec_columns(tuple(x[resunip] % p for x in y), p)
 
 
 def _exps(v, modulus: Modulus) -> tuple[np.ndarray, ...]:
     """The entry columns of the exponentials of the residually nilpotent
     points with coordinate columns v, residues mod p^N (p >= 5).  Over
     F_p, x^2 = 0 ends the series at its first term, so exp x = 1 + x;
-    above N = 1 the column series runs."""
+    above N = 1 the column series runs.  Both branches refuse what the
+    series refuse: ``UnsupportedPrime`` for p < 5 and ``DomainViolation``
+    for a point that is not nilpotent mod p."""
     x = vec_to_mat_columns(v, modulus.pN)
     if modulus.N > 1:
         return exp_extended_columns(x, modulus)
     p = modulus.p
-    a, b, c, d = _nilpotent_mod_p(x, p)
-    return (a + 1) % p, b, c, (d + 1) % p
-
-
-def _nilpotent_mod_p(y, p: int) -> tuple[np.ndarray, ...]:
-    """Entry columns y over F_p, refused where the series refuse them:
-    ``UnsupportedPrime`` for p < 5 and ``DomainViolation`` for a matrix that
-    is not nilpotent mod p."""
     _require_extended_prime(p)
-    y = checked_columns(y)
-    if not residually_nilpotent_columns(y, p).all():
-        raise DomainViolation("x (exp) or g - 1 (log) is not nilpotent mod p")
-    return y
+    x = checked_columns(x)
+    if not residually_nilpotent_columns(x, p).all():
+        raise DomainViolation("x is not nilpotent mod p")
+    a, b, c, d = x
+    return (a + 1) % p, b, c, (d + 1) % p
 
 
 def _log_span(v, modulus: Modulus) -> LieLattice:
     """``liec_padic``'s lattice from the logarithm coordinate columns v."""
     span_cols: list[Vec] = []
-    lattice = LieLattice.from_columns([], modulus)
+    lattice = LieLattice.scaled_ambient(modulus, modulus.N)  # the zero lattice
     rest = np.flatnonzero(~membership_mod_columns(lattice, v, modulus.N))
     while rest.size:
         span_cols.append(tuple(int(x[rest[0]]) for x in v))

@@ -138,6 +138,17 @@ def test_level_is_least_containment_exponent():
             assert not contains_scaled_ambient(n - 1)
 
 
+@pytest.mark.parametrize("p, N", [(5, 1), (5, 3), (7, 2), (3, 4)])
+def test_zero_lattice_is_the_scaled_ambient_at_precision(p, N):
+    # the span of no columns needs no Smith form: p^N sl2 is zero mod p^N
+    m = Modulus(p, N)
+    empty, scaled = LieLattice.from_columns([], m), LieLattice.scaled_ambient(m, N)
+    assert empty == scaled
+    assert (empty.divisors, empty.adapted_basis, empty.adapted_inverse) == (
+        scaled.divisors, scaled.adapted_basis, scaled.adapted_inverse)
+    assert scaled.rank == 0 and scaled.point_count() == 1
+
+
 def test_saturate_examples():
     m = Modulus(3, 6)
     assert LieLattice.scaled_ambient(m, 2).saturated() == LieLattice.ambient(m)

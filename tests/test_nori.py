@@ -198,9 +198,9 @@ def test_enumerate_unipotent_generated_matches_oracle(p):
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
 def test_enumerate_unipotent_generated_stage_count(p, monkeypatch):
-    # one stage per Sylow p-subgroup from the trivial group, and one from
-    # the first Sylow p-subgroup to the full group; the other Sylow
-    # p-subgroups are its conjugates and reuse that stage
+    # the Sylow p-subgroups come from one column pass over the unipotents,
+    # so the one stage is from the first of them to the full group; the
+    # other Sylow p-subgroups are its conjugates and reuse that stage
     stages = []
     extend = SubgroupClosure.extend
 
@@ -210,8 +210,47 @@ def test_enumerate_unipotent_generated_stage_count(p, monkeypatch):
 
     monkeypatch.setattr(SubgroupClosure, "extend", counting)
     enumerate_unipotent_generated(p)
-    assert len(stages) == p + 2
-    assert sorted(stages) == [1] * (p + 1) + [p]
+    assert stages == [p]
+
+
+def _unipotents_in_code_order(p):
+    sl2 = sl2_columns(p)
+    unip = tuple(x[core.residually_unipotent_columns(sl2, p)] for x in sl2)
+    codes = element_codes(unip, p)
+    order = np.argsort(codes)
+    return tuple(x[order] for x in unip), codes[order]
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_cyclic_extensions_match_swept(p):
+    # the trivial group's stage from one column pass equals the sweep of
+    # one extend per double coset, extension by extension and in the table
+    unip, unip_codes = _unipotents_in_code_order(p)
+    trivial = FpSubgroup.trivial(p)
+    fast, fast_table = nori._cyclic_extensions(trivial, unip, unip_codes)
+    slow, slow_table = nori._swept(trivial, unip, unip_codes)
+    assert len(fast) == p + 1
+    assert [u for u, _ in fast] == [u for u, _ in slow]
+    for (_, closure), (_, direct) in zip(fast, slow):
+        assert np.array_equal(closure.codes, direct.codes)
+        assert closure.codes.dtype == direct.codes.dtype
+        assert closure.generators == direct.generators
+    assert np.array_equal(fast_table, slow_table)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_roundtrip_fp_extends_and_sweeps_once(p, monkeypatch):
+    # one extend and one double coset per prime, both from the first Sylow
+    # p-subgroup: a return to one extension per unipotent fails here
+    calls = []
+    for name in ("extend", "double_coset"):
+        def counting(self, *args, _name=name, _method=getattr(SubgroupClosure, name), **kw):
+            calls.append((_name, self.order))
+            return _method(self, *args, **kw)
+
+        monkeypatch.setattr(SubgroupClosure, name, counting)
+    assert roundtrip_check_fp(p).passed
+    assert sorted(calls) == [("double_coset", p), ("extend", p)]
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
@@ -391,9 +430,35 @@ def test_enumeration_closes_sl2_in_few_dimino_rounds(p, rounds, monkeypatch):
 
 
 def test_nilpotently_generated_enumeration():
-    algebras = enumerate_nilpotently_generated(5)
-    dims = sorted(L.rank for L in algebras)
-    assert dims == [0] + [1] * 6 + [3]  # zero, the p + 1 nilpotent lines, sl2
+    for p in (5, 7, 11, 13):
+        algebras = enumerate_nilpotently_generated(p)
+        # zero, the p + 1 nilpotent lines, sl2, in the scan's order
+        assert [L.rank for L in algebras] == [0] + [1] * (p + 1) + [3]
+        # each lattice is built from the scan's echelon basis
+        scan = _nilpotently_generated_by_scan(p)
+        assert [(L.divisors, L.adapted_basis, L.adapted_inverse) for L in algebras] == [
+            (L.divisors, L.adapted_basis, L.adapted_inverse) for L in scan
+        ]
+
+
+def _all_subspaces(p):
+    """Canonical echelon bases of every subspace of F_p^3, all dimensions,
+    enumerated directly from the reduced echelon shapes (p^2 + p + 1 each
+    in dimensions one and two)."""
+    yield ()
+    for a in range(p):
+        for b in range(p):
+            yield ((1, a, b),)
+    for b in range(p):
+        yield ((0, 1, b),)
+    yield ((0, 0, 1),)
+    for a in range(p):
+        for b in range(p):
+            yield ((1, 0, a), (0, 1, b))
+    for a in range(p):
+        yield ((1, a, 0), (0, 0, 1))
+    yield ((0, 1, 0), (0, 0, 1))
+    yield ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 def _nilpotently_generated_by_scan(p):
@@ -401,7 +466,7 @@ def _nilpotently_generated_by_scan(p):
     nilpotent points, one subspace at a time and with no filter."""
     m = Modulus(p, 1)
     out = []
-    for basis in nori._all_subspaces(p):
+    for basis in _all_subspaces(p):
         L = LieLattice.from_columns(basis, m)
         nilpotent = [v for v in L.iter_points() if residually_nilpotent(vec_to_mat(v, m))]
         if bracket_witness(L, 1) is None and LieLattice.from_columns(nilpotent, m) == L:
@@ -508,14 +573,15 @@ def test_fp_closed_forms_match_column_series(p):
     # on every unipotent of SL(2, F_p) and every nilpotent of sl(2, F_p)
     # are the oracle
     m = Modulus(p, 1)
-    sl2 = sl2_columns(p)
-    unip = tuple(x[core.residually_unipotent_columns(sl2, p)] for x in sl2)
+    unip, _ = _unipotents_in_code_order(p)
+    elements, logs = _resunip_logs(_generated_by(p, SL2_GENERATORS).closure)
+    assert [x.tolist() for x in elements] == [x.tolist() for x in unip]
     codes = np.arange(p**3)
     v = (codes // (p * p), codes // p % p, codes % p)
     nilp = tuple(x[residually_nilpotent_columns(vec_to_mat_columns(v, p), p)] for x in v)
     assert len(unip[0]) == len(nilp[0]) == p * p
     pairs = [
-        (nori._logs(unip, m), mat_to_vec_columns(explog.log_extended_columns(unip, m), p)),
+        (logs, mat_to_vec_columns(explog.log_extended_columns(unip, m), p)),
         (nori._exps(nilp, m), explog.exp_extended_columns(vec_to_mat_columns(nilp, p), m)),
     ]
     for closed, series in pairs:
@@ -543,11 +609,19 @@ def test_fp_closed_forms_refuse_what_the_series_refuse():
                 exps(_column(*v), m)
         with pytest.raises(UnsupportedPrime):
             exps(nilpotent, m3)
-    for logs in (nori._logs, explog.log_extended_columns):
-        with pytest.raises(DomainViolation):
-            logs(_column(2, 0, 0, 4), m)
-        with pytest.raises(UnsupportedPrime):
-            logs(_column(1, 1, 0, 1), m3)
+    # the series refuse a torus element and p = 3; _resunip_logs masks the
+    # residually unipotent elements of a closure, so it takes the log of
+    # the torus element's group only at the identity, and refuses p = 3
+    with pytest.raises(DomainViolation):
+        explog.log_extended_columns(_column(2, 0, 0, 4), m)
+    with pytest.raises(UnsupportedPrime):
+        explog.log_extended_columns(_column(1, 1, 0, 1), m3)
+    torus = _generated_by(7, [(2, 0, 0, 4)]).closure
+    assert torus.order == 3
+    assert [[x.tolist() for x in cols] for cols in _resunip_logs(torus)] == [
+        [[1], [0], [0], [1]], [[0], [0], [0]]]
+    with pytest.raises(UnsupportedPrime):
+        _resunip_logs(_generated_by(3, [(1, 1, 0, 1)]).closure)
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
@@ -574,6 +648,15 @@ def test_fp_round_trip_maps_match_truncated_series(p):
 def test_grpc_bar_needs_precision_one():
     with pytest.raises(PreconditionViolation):
         grpc_bar(LieLattice.from_columns([(1, 0, 0)], Modulus(5, 2)))
+
+
+def test_fp_subgroup_needs_precision_one():
+    # <[[1, 1], [0, 1]]> mod 25 has order 25: it is no subgroup of SL(2, F_5)
+    closure = closure_of_generators([MatP.of([[1, 1], [0, 1]], Modulus(5, 2))])
+    assert closure.order == 25
+    with pytest.raises(PreconditionViolation):
+        FpSubgroup(closure)
+    assert FpSubgroup(closure_of_generators([MatP.of([[1, 1], [0, 1]], Modulus(5, 1))])).order == 5
 
 
 def test_liec_bar_depends_only_on_h_plus():
