@@ -350,18 +350,14 @@ def residually_unipotent(g: MatP) -> bool:
 
     For 2x2 matrices over F_p this holds exactly when (g - 1)^2 = 0 (the
     characteristic polynomial is then (t - 1)^2 and the p-th power of
-    1 + nilpotent is trivial); the square-zero form is what is computed,
-    and a test pins the equivalence against the literal power.
+    1 + nilpotent is trivial), that is when g - 1 has trace and
+    determinant 0 mod p (Cayley-Hamilton over F_p); the trace-determinant
+    form is what is computed, and a test pins it against the literal
+    power.
     """
     p = g.modulus.p
     (a, b), (c, d) = g.rows
-    t = (a + d - 2) % p
-    return (
-        ((a - 1) * (a - 1) + b * c) % p == 0
-        and (b * t) % p == 0
-        and (c * t) % p == 0
-        and ((d - 1) * (d - 1) + b * c) % p == 0
-    )
+    return (a + d - 2) % p == 0 and ((a - 1) * (d - 1) - b * c) % p == 0
 
 
 def residually_unipotent_by_power(g: MatP) -> bool:
@@ -371,15 +367,11 @@ def residually_unipotent_by_power(g: MatP) -> bool:
 
 
 def residually_nilpotent(x: MatP) -> bool:
-    """Whether the reduction of x mod p is nilpotent (square zero for 2x2)."""
+    """Whether the reduction of x mod p is nilpotent: x^2 = 0 mod p, that
+    is trace and determinant 0 mod p (Cayley-Hamilton over F_p)."""
     p = x.modulus.p
     (a, b), (c, d) = x.rows
-    return (
-        (a * a + b * c) % p == 0
-        and (b * (a + d)) % p == 0
-        and (c * (a + d)) % p == 0
-        and (d * d + b * c) % p == 0
-    )
+    return (a + d) % p == 0 and (a * d - b * c) % p == 0
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,8 @@ large; failures at small p are recorded as anomalies, never asserted away.
 
 Both F_p enumerations start from the p + 1 lines, unipotent or nilpotent.
 ``enumerate_unipotent_generated`` builds every cyclic group <u> from one
-column product, and extends only the first of them further;
+column product, records each new subgroup with its conjugacy class, and
+extends one subgroup per class;
 ``enumerate_nilpotently_generated`` checks only the spans of nilpotent
 lines, which hold every subspace spanned by its nilpotent elements.
 """
@@ -62,9 +63,8 @@ from .core import (
     element_codes,
     group_level,
     in_principal_congruence_columns,
-    inverse_columns,
     mat_inverse,
-    mul_columns,
+    reduction_kernel_generators,
     residually_nilpotent_columns,
     residually_unipotent_columns,
 )
@@ -207,21 +207,24 @@ def enumerate_unipotent_generated(p: int, *, cap: int = DEFAULT_ENUM_CAP) -> lis
     From the trivial group that set is <u> itself, which is already the
     extension, so every cyclic group <u> is built at once from the columns
     of all unipotents (``_cyclic_extensions``); they are the p + 1 Sylow
-    p-subgroups.  Conjugation is an automorphism, so when H = x H0 x^-1
-    for a subgroup H0 already extended, <H, u> = x <H0, x^-1 u x> x^-1:
-    H's extensions are conjugated from H0's instead of built
-    (``_transported``).  At the budgeted primes the Sylow p-subgroups are
-    conjugate, so only the first of them is extended, by one stage to the
-    full group (the tests count the stages).  A unipotent is skipped only
-    when the subgroup it would give from H is already known, so each
-    subgroup is still first found by the same pair (H, u), with the same
-    generators.  Every extension of the first Sylow p-subgroup is
-    SL(2, F_p), which each conjugator normalizes, so
-    ``SubgroupClosure.conjugate`` hands the other Sylow p-subgroups its
-    codes unchanged.  The count of subgroups is cross-checked against the
-    classification of subgroups of SL(2, F_p) containing p-elements: the
-    trivial group, the p + 1 Sylow p-subgroups, and the full group, so
-    p + 3 in total.
+    p-subgroups.
+
+    Each new subgroup is recorded with its whole conjugacy class
+    (``_conjugacy_class``), and only one member of each class is swept.
+    That is complete: the unipotent-generated subgroups are closed under
+    conjugation, and <x H x^-1, u> = x <H, x^-1 u x> x^-1, so the
+    extensions of a conjugate of H are conjugates of extensions of H, and
+    each lies in a class that the sweep of H adds in full.  The direct
+    extensions of a sweep are recorded before any class is added, so a
+    subgroup reached by a pair (H, u) keeps that pair's generators; a
+    member found only in a class records the conjugated generators of the
+    member it came from.
+    At the budgeted primes the p + 1 Sylow p-subgroups are one class, so
+    the first of them is swept, by one stage to the full group (the tests
+    count the stages and the conjugations).  The count of subgroups is
+    cross-checked against the classification of subgroups of SL(2, F_p)
+    containing p-elements: the trivial group, the p + 1 Sylow
+    p-subgroups, and the full group, so p + 3 in total.
 
     p must be a prime in {5, 7, 11, 13} (``UnsupportedPrime`` below 5 or
     for a non-prime, ``BudgetExceeded`` above 13), and more than ``cap``
@@ -237,35 +240,34 @@ def enumerate_unipotent_generated(p: int, *, cap: int = DEFAULT_ENUM_CAP) -> lis
     trivial = FpSubgroup.trivial(p)
     seen = {trivial.closure.codes.tobytes(): trivial}
 
-    def found(extensions: list[tuple[MatP, SubgroupClosure]]) -> list[FpSubgroup]:
-        """The subgroups among the extensions not seen before, recorded."""
-        new = []
-        for u, closure in extensions:
-            key = closure.codes.tobytes()
-            if key not in seen:
-                if len(seen) + 1 > cap:
-                    raise BudgetExceeded(
-                        f"subgroup count exceeded cap {cap} (at least {len(seen) + 1} subgroups)"
-                    )
-                seen[key] = FpSubgroup(closure)
-                new.append(seen[key])
-        return new
+    def record(closure: SubgroupClosure) -> FpSubgroup | None:
+        """The subgroup of a closure not seen before, recorded, else None."""
+        key = closure.codes.tobytes()
+        if key in seen:
+            return None
+        if len(seen) + 1 > cap:
+            raise BudgetExceeded(
+                f"subgroup count exceeded cap {cap} (at least {len(seen) + 1} subgroups)"
+            )
+        seen[key] = FpSubgroup(closure)
+        return seen[key]
 
-    swept: list[tuple[FpSubgroup, list[tuple[MatP, SubgroupClosure]], np.ndarray]] = []
-    frontier = found(_cyclic_extensions(trivial, unip, unip_codes)[0])
+    def found(extensions: list[tuple[MatP, SubgroupClosure]]) -> list[FpSubgroup]:
+        """One subgroup per conjugacy class among the extensions not seen
+        before, each recorded with its class."""
+        new = [H for H in (record(closure) for _, closure in extensions) if H is not None]
+        classes, classed = [], set()
+        for H in new:
+            if H.closure.codes.tobytes() not in classed:
+                classes.append(H)
+                for member in _conjugacy_class(H):
+                    classed.add(member.codes.tobytes())
+                    record(member)
+        return classes
+
+    frontier = found(_cyclic_extensions(trivial, unip, unip_codes))
     while frontier:
-        nxt = []
-        for H in frontier:
-            for H0, extensions0, table0 in swept:
-                x = _conjugator(H0, H, sl2) if H0.order == H.order else None
-                if x is not None:
-                    extensions = _transported(H, x, extensions0, table0, unip, unip_codes)
-                    break
-            else:
-                extensions, table = _swept(H, unip, unip_codes)
-                swept.append((H, extensions, table))
-            nxt += found(extensions)
-        frontier = nxt
+        frontier = [K for H in frontier for K in found(_swept(H, unip, unip_codes))]
     # codes order like (a, b, c, d) tuples, as entries lie in [0, p)
     subgroups = sorted(seen.values(), key=lambda H: (H.order, H.closure.codes.tolist()))
     expected = p + 3
@@ -297,15 +299,13 @@ def _column_mat(cols: tuple[np.ndarray, ...], i: int, modulus: Modulus) -> MatP:
 
 def _swept(
     H: FpSubgroup, unip: tuple[np.ndarray, ...], unip_codes: np.ndarray
-) -> tuple[list[tuple[MatP, SubgroupClosure]], np.ndarray]:
+) -> list[tuple[MatP, SubgroupClosure]]:
     """The extensions (u, <H, u>) of H, one ``extend`` per double coset
-    H <u> H, in code order of u, and the table that gives, for each
-    unipotent v, the position of <H, v> in that list, or -1 where v lies in
-    H."""
+    H <u> H of the unipotents outside H, each by its first u in code
+    order."""
     p, modulus = H.p, H.closure.modulus
     exponents = np.arange(p)
     done = H.closure.contains_columns(*unip)
-    table = np.full(len(unip_codes), -1)
     extensions = []
     for i in range(len(unip_codes)):
         if done[i]:
@@ -313,88 +313,51 @@ def _swept(
         u = _column_mat(unip, i, modulus)
         # <u> = {1 + k (u - 1) : k < p}, as (u - 1)^2 = 0
         cyclic = tuple((e + exponents * (x - e)) % p for x, e in zip(u.as_tuple(), (1, 0, 0, 1)))
-        fresh = ~done & np.isin(unip_codes, H.closure.double_coset(cyclic), assume_unique=True)
-        table[fresh] = len(extensions)
-        done |= fresh
+        done |= np.isin(unip_codes, H.closure.double_coset(cyclic), assume_unique=True)
         extensions.append((u, H.closure.extend(u)))
-    return extensions, table
+    return extensions
 
 
 def _cyclic_extensions(
     trivial: FpSubgroup, unip: tuple[np.ndarray, ...], unip_codes: np.ndarray
-) -> tuple[list[tuple[MatP, SubgroupClosure]], np.ndarray]:
+) -> list[tuple[MatP, SubgroupClosure]]:
     """``_swept`` of the trivial group from one column product.  Each
     unipotent u != 1 gives the row of sorted codes of
     <u> = {1 + k (u - 1) : k < p}, which is the closure ``extend`` builds
     from u; equal rows are equal groups, so one ``np.unique`` over the rows
-    gives the extensions, each with the first u of its group in code order,
-    and the table."""
+    gives the extensions, each with the first u of its group in code
+    order."""
     p, modulus = trivial.p, trivial.closure.modulus
     rest = np.flatnonzero(~trivial.closure.contains_columns(*unip))
     k = np.arange(p)
     cyclic = [((e + k * (x[rest, None] - e)) % p).ravel() for x, e in zip(unip, (1, 0, 0, 1))]
     rows = np.sort(element_codes(cyclic, p).reshape(len(rest), p), axis=1)
-    groups, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
-    by_first = np.argsort(first)
-    table = np.full(len(unip_codes), -1)
-    table[rest] = np.argsort(by_first)[inverse.ravel()]  # the inverse permutation
+    groups, first = np.unique(rows, axis=0, return_index=True)
     extensions = []
-    for j in by_first:
+    for j in np.argsort(first):
         u = _column_mat(unip, rest[first[j]], modulus)
         extensions.append((u, SubgroupClosure(modulus, (u,), groups[j])))
-    return extensions, table
-
-
-def _conjugator(H0: FpSubgroup, H: FpSubgroup, sl2: tuple[np.ndarray, ...]) -> MatP | None:
-    """The first x in ``sl2_columns`` order with x H0 x^-1 = H, or None.
-    H0 and H have equal order, so x H0 x^-1 inside H, tested on the
-    generators of H0, is equality.  The candidates are tested in blocks of
-    64, each four times the last, up to the first block with a hit: between
-    conjugate Sylow p-subgroups that is the first block, not all p^3 - p
-    elements."""
-    p, n = H.p, len(sl2[0])
-    lo, size = 0, 64
-    while lo < n:
-        block = tuple(x[lo:lo + size] for x in sl2)
-        inverse = inverse_columns(block, p)
-        hit = np.ones(len(block[0]), dtype=bool)
-        for g in H0.closure.generators:
-            conjugates = mul_columns(mul_columns(block, g.as_tuple(), p), inverse, p)
-            hit &= H.closure.contains_columns(*conjugates)
-        hits = np.flatnonzero(hit)
-        if hits.size:
-            return _column_mat(block, hits[0], H.closure.modulus)
-        lo, size = lo + size, 4 * size
-    return None
-
-
-def _transported(
-    H: FpSubgroup,
-    x: MatP,
-    extensions0: list[tuple[MatP, SubgroupClosure]],
-    table0: np.ndarray,
-    unip: tuple[np.ndarray, ...],
-    unip_codes: np.ndarray,
-) -> list[tuple[MatP, SubgroupClosure]]:
-    """The extensions (u, <H, u>) of H = x H0 x^-1, as x <H0, v> x^-1 for
-    v = x^-1 u x read from H0's table: one for the first u, in code order,
-    of each table entry, with the generators <H, u> would get from
-    ``extend``."""
-    p = H.p
-    v = mul_columns(mul_columns(mat_inverse(x).as_tuple(), unip, p), x.as_tuple(), p)
-    entry = table0[np.searchsorted(unip_codes, element_codes(v, p))]
-    _, first = np.unique(entry, return_index=True)
-    extensions = []
-    for i in np.sort(first):
-        if entry[i] < 0:  # u lies in H
-            continue
-        u = _column_mat(unip, i, H.closure.modulus)
-        generators = (*H.closure.generators, u)
-        closure = extensions0[entry[i]][1].conjugate(x, generators)
-        if not all(closure.contains(g) for g in generators):
-            raise InvariantViolation(f"conjugated closure of order {closure.order} misses <H, u>")
-        extensions.append((u, closure))
     return extensions
+
+
+def _conjugacy_class(H: FpSubgroup) -> list[SubgroupClosure]:
+    """The closures of the conjugates x H x^-1, x in SL(2, F_p), H's
+    closure first: a breadth-first orbit under conjugation by the two
+    generators s of SL(2, F_p) (``reduction_kernel_generators`` at n = 0).
+    Each step is ``SubgroupClosure.conjugate`` by s, with the generators
+    s g s^-1 of the member it came from; where s normalizes that member,
+    the step shares its codes."""
+    steps = [(s, mat_inverse(s)) for s in reduction_kernel_generators(H.closure.modulus, 0)]
+    orbit = [H.closure]
+    keys = {H.closure.codes.tobytes()}
+    for K in orbit:  # the list grows while it is read: breadth first
+        for s, s_inv in steps:
+            conjugate = K.conjugate(s, tuple(s @ g @ s_inv for g in K.generators))
+            key = conjugate.codes.tobytes()
+            if key not in keys:
+                keys.add(key)
+                orbit.append(conjugate)
+    return orbit
 
 
 def enumerate_nilpotently_generated(p: int) -> list[LieLattice]:

@@ -10,13 +10,20 @@ from __future__ import annotations
 import random
 
 from .core import MatP, Modulus, random_sl2
+from .errors import PreconditionViolation
 from .explog import exp_extended
 from .lattice import LieLattice, Vec, adjoint_matrix, apply_columns, vec_to_mat
 
 
 def random_congruence_domain_matrix(rng: random.Random, modulus: Modulus) -> MatP:
-    """A matrix in p'.gl(2, Z/p^N) (entries of valuation >= eps_p)."""
+    """A matrix in p'.gl(2, Z/p^N) (entries of valuation >= eps_p).  The
+    domain is zero below N = eps_p, so N < eps_p (N = 1 at p = 2) is
+    refused (``PreconditionViolation``)."""
     w = modulus.eps_p
+    if modulus.N < w:
+        raise PreconditionViolation(
+            f"the congruence domain needs N >= eps_p = {w} at p = {modulus.p}, not N = {modulus.N}"
+        )
     pw = modulus.p**w
     span = modulus.pN // pw
     return MatP.of(

@@ -36,6 +36,16 @@ def test_explog_selftest_refuses_no_trials(capsys, trials):
     assert "config error" in captured.err and captured.out == ""
 
 
+def test_explog_selftest_refuses_precision_below_the_domain_floor(capsys):
+    # at p = 2 the congruence domain 4 gl(2) needs N >= 2
+    assert main(["explog-selftest", "--p", "2", "--N", "1"]) == 2
+    captured = capsys.readouterr()
+    assert "config error" in captured.err and "N >= eps_p = 2" in captured.err
+    assert captured.out == ""
+    code, rep = _run(capsys, ["explog-selftest", "--p", "2", "--N", "2"])
+    assert code == 0 and rep["passed"]
+
+
 def test_approx_worst_case_certify(capsys):
     code, rep = _run(capsys, ["approx", "--worst-case", "--p", "3", "--n", "4",
                               "--certify-optimality"])

@@ -1,3 +1,4 @@
+import itertools
 import random
 import tracemalloc
 from unittest import mock
@@ -141,6 +142,29 @@ def test_residually_unipotent_examples_and_oracle():
     for t in zip(*(x.tolist() for x in sl2_columns(5))):
         g = MatP.of([[t[0], t[1]], [t[2], t[3]]], m1)
         assert residually_unipotent(g) == residually_unipotent_by_power(g)
+
+
+def _square_is_zero_mod_p(x):
+    """The literal x x = 0 mod p."""
+    y = x.reduce(1) if x.modulus.N > 1 else x
+    return y @ y == MatP.zero(y.modulus)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_residue_predicates_match_literal_definitions(p):
+    # the trace-determinant forms against x x = 0, (g - 1)^2 = 0 and g^p = 1,
+    # on every matrix over F_p and on seeded lifts of each one mod p^3
+    rng = random.Random(f"residue-{p}")
+    m1, m3 = Modulus(p, 1), Modulus(p, 3)
+    gl2 = [MatP.of([t[:2], t[2:]], m1) for t in itertools.product(range(p), repeat=4)]
+    lifts = [MatP.of([[a + p * rng.randrange(p * p) for a in row] for row in g.rows], m3) for g in gl2]
+    for g in gl2 + lifts:
+        one = MatP.identity(g.modulus)
+        assert residually_nilpotent(g) == _square_is_zero_mod_p(g)
+        assert residually_unipotent(g) == _square_is_zero_mod_p(g - one) == residually_unipotent_by_power(g)
+    # p^2 nilpotent matrices, and p^2 unipotent elements of SL(2, F_p)
+    assert sum(map(residually_nilpotent, gl2)) == p * p
+    assert sum(residually_unipotent(g) for g in gl2 if g.det() == 1) == p * p
 
 
 def test_column_masks_match_scalar_predicates():

@@ -45,7 +45,6 @@ from padiclie.errors import (
     BudgetExceeded,
     ClosureBudgetExceeded,
     DomainViolation,
-    InvariantViolation,
     ModulusMismatch,
     PreconditionViolation,
     UnsupportedPrime,
@@ -224,18 +223,17 @@ def _unipotents_in_code_order(p):
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
 def test_cyclic_extensions_match_swept(p):
     # the trivial group's stage from one column pass equals the sweep of
-    # one extend per double coset, extension by extension and in the table
+    # one extend per double coset, extension by extension
     unip, unip_codes = _unipotents_in_code_order(p)
     trivial = FpSubgroup.trivial(p)
-    fast, fast_table = nori._cyclic_extensions(trivial, unip, unip_codes)
-    slow, slow_table = nori._swept(trivial, unip, unip_codes)
+    fast = nori._cyclic_extensions(trivial, unip, unip_codes)
+    slow = nori._swept(trivial, unip, unip_codes)
     assert len(fast) == p + 1
     assert [u for u, _ in fast] == [u for u, _ in slow]
     for (_, closure), (_, direct) in zip(fast, slow):
         assert np.array_equal(closure.codes, direct.codes)
         assert closure.codes.dtype == direct.codes.dtype
         assert closure.generators == direct.generators
-    assert np.array_equal(fast_table, slow_table)
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
@@ -254,82 +252,38 @@ def test_roundtrip_fp_extends_and_sweeps_once(p, monkeypatch):
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
-def test_transported_extensions_match_extend(p, monkeypatch):
-    # every closure conjugated from an earlier subgroup's extension equals
-    # the Dimino stage it replaces, elements and generators alike
-    transported = []
-    transport = nori._transported
+def test_enumeration_sweeps_one_subgroup_per_class(p, monkeypatch):
+    # one Sylow p-subgroup and the full group are swept; the orbits of the
+    # p + 1 Sylow p-subgroups and of the full group conjugate each member by
+    # both generators of SL(2, F_p); a sweep of every Sylow p-subgroup
+    # fails here
+    swept, conjugated = [], []
+    sweep, conjugate = nori._swept, SubgroupClosure.conjugate
 
-    def recording(H, *args):
-        extensions = transport(H, *args)
-        transported.extend((H, u, closure) for u, closure in extensions)
-        return extensions
+    def sweeping(H, *args):
+        swept.append(H.order)
+        return sweep(H, *args)
 
-    monkeypatch.setattr(nori, "_transported", recording)
+    def conjugating(self, *args):
+        conjugated.append(self.order)
+        return conjugate(self, *args)
+
+    monkeypatch.setattr(nori, "_swept", sweeping)
+    monkeypatch.setattr(SubgroupClosure, "conjugate", conjugating)
     enumerate_unipotent_generated(p)
-    assert len(transported) == p  # the p Sylow p-subgroups after the first, to SL(2, F_p)
-    for H, u, closure in transported:
-        direct = H.closure.extend(u)
-        assert np.array_equal(closure.codes, direct.codes)
-        assert closure.generators == direct.generators
+    assert swept == [p, p**3 - p]
+    assert len(conjugated) == 2 * p + 4
+    assert sorted(conjugated) == [p] * (2 * p + 2) + [p**3 - p] * 2
 
 
-def test_transported_closure_is_checked(monkeypatch):
-    # a conjugated closure that misses <H, u> is an invariant violation,
-    # raised also under python -O
-    monkeypatch.setattr(
-        SubgroupClosure, "conjugate", lambda self, x, gens: SubgroupClosure.trivial(self.modulus)
-    )
-    with pytest.raises(InvariantViolation):
-        enumerate_unipotent_generated(5)
-
-
-def _brute_force_conjugator(H0, H, p):
-    target = H.elements
-    m = Modulus(p, 1)
-    for t in zip(*(x.tolist() for x in sl2_columns(p))):
-        x = _mat(t, m)
-        x_inv = mat_inverse(x)
-        if {(x @ _mat(h, m) @ x_inv).as_tuple() for h in H0.elements} == target:
-            return x
-    return None
-
-
-def test_conjugator_matches_brute_force():
-    # equal-order cyclic subgroups of SL(2, F_p) are all conjugate (their
-    # tori are), so pairs are drawn among groups generated by one or two
-    # elements, where equal orders need not mean conjugate (C8 and Q8)
-    p, rng = 7, random.Random(20261019)
-    elements = sorted(_sl2_fp(p))
-    by_order = {}
-    for _ in range(60):
-        H = _generated_by(p, rng.sample(elements, rng.choice((1, 2))))
-        if H.order <= 48:
-            by_order.setdefault(H.order, {})[H.closure.codes.tobytes()] = H
-    pairs = [
-        pair
-        for groups in by_order.values()
-        for pair in product(groups.values(), repeat=2)
-        if len(groups) > 1
-    ]
-    sl2 = sl2_columns(p)
-    outcomes = set()
-    for H0, H in rng.sample(pairs, 24):
-        x = nori._conjugator(H0, H, sl2)
-        assert x == _brute_force_conjugator(H0, H, p)
-        outcomes.add(x is None)
-    assert outcomes == {True, False}
-
-
-def _conjugator_by_element_sets(H0, H, p):
-    """The first x in sl2_columns order whose conjugate of every element of
-    H0 gives the elements of H, over all of SL(2, F_p) at once."""
+def _class_by_element_sets(H, p):
+    """The sorted code arrays of the distinct x H x^-1, x in SL(2, F_p),
+    conjugating every element of H by every x at once."""
     sl2 = sl2_columns(p)
     xs = tuple(x[:, None] for x in sl2)
-    conjugates = mul_columns(mul_columns(xs, H0.closure.columns(), p), inverse_columns(xs, p), p)
+    conjugates = mul_columns(mul_columns(xs, H.closure.columns(), p), inverse_columns(xs, p), p)
     codes = element_codes(tuple(c.ravel() for c in conjugates), p).reshape(len(sl2[0]), -1)
-    hits = np.flatnonzero((np.sort(codes, axis=1) == H.closure.codes).all(axis=1))
-    return nori._column_mat(sl2, hits[0], Modulus(p, 1)) if hits.size else None
+    return np.unique(np.sort(codes, axis=1), axis=0)
 
 
 def _inverting(y, sl2, p):
@@ -341,29 +295,51 @@ def _inverting(y, sl2, p):
     return [nori._column_mat(sl2, hits[0], y.modulus)] if hits.size else []
 
 
-@pytest.mark.parametrize("p", [5, 7, 11, 13])
-def test_conjugator_block_scan_matches_brute_force(p):
-    # every pair of distinct equal-order subgroups among seeded cyclic groups
-    # <y> and dicyclic groups <y, x> with x y x^-1 = y^-1; at p >= 7 some
-    # pairs are not conjugate (C8 and Q8, C12 and Dic3), while in SL(2, F_5)
-    # subgroups of equal order are conjugate
-    rng, m = random.Random(f"conjugator-{p}"), Modulus(p, 1)
+def _seeded_subgroups(p):
+    """Seeded subgroups of SL(2, F_p) of order <= 200: cyclic groups <y>,
+    dicyclic groups <y, x> with x y x^-1 = y^-1, groups of two upper
+    triangular elements, and the centre {1, -1}."""
+    rng, m = random.Random(f"classes-{p}"), Modulus(p, 1)
     sl2 = sl2_columns(p)
-    by_order = {}
-    for _ in range(30):
+    upper = np.flatnonzero(sl2[2] == 0)
+    groups = {}
+    for _ in range(10):
         y = nori._column_mat(sl2, rng.randrange(len(sl2[0])), m)
-        for gens in ([y], [y, *_inverting(y, sl2, p)]):
+        b0, b1 = (nori._column_mat(sl2, i, m) for i in rng.sample(upper.tolist(), 2))
+        for gens in ([y], [y, *_inverting(y, sl2, p)], [b0, b1], [MatP.of([[-1, 0], [0, -1]], m)]):
             H = FpSubgroup.generated_by(p, gens)
-            if H.order <= 48:
-                by_order.setdefault(H.order, {})[H.closure.codes.tobytes()] = H
-    outcomes = set()
-    for groups in by_order.values():
-        for H0, H in product(groups.values(), repeat=2):
-            if H0 is not H:
-                x = nori._conjugator(H0, H, sl2)
-                assert x == _conjugator_by_element_sets(H0, H, p)
-                outcomes.add(x is None)
-    assert outcomes == ({False} if p == 5 else {True, False})
+            if H.order <= 200:
+                groups[H.closure.codes.tobytes()] = H
+    return list(groups.values())
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_conjugacy_class_matches_element_oracle(p):
+    # the orbit under the two generators of SL(2, F_p) is the set of all
+    # x H x^-1, H's closure first, each member closing from its generators
+    sizes = set()
+    for H in _seeded_subgroups(p):
+        orbit = nori._conjugacy_class(H)
+        assert orbit[0] is H.closure
+        codes = np.stack([K.codes for K in orbit])
+        assert np.array_equal(np.unique(codes, axis=0), _class_by_element_sets(H, p))
+        assert len(orbit) == len(np.unique(codes, axis=0))
+        for K in orbit:
+            assert np.array_equal(closure_of_pool(K.generators, Modulus(p, 1)).codes, K.codes)
+        sizes.add(len(orbit) == 1)
+    assert sizes == {True, False}  # normal and non-normal subgroups
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_enumeration_is_closed_under_conjugation(p):
+    subs = enumerate_unipotent_generated(p)
+    keys = {H.closure.codes.tobytes() for H in subs}
+    for s in reduction_kernel_generators(Modulus(p, 1), 0):
+        s_inv = mat_inverse(s).as_tuple()
+        for H in subs:
+            conjugates = mul_columns(mul_columns(s.as_tuple(), H.closure.columns(), p), s_inv, p)
+            codes = np.sort(element_codes(conjugates, p)).astype(H.closure.codes.dtype)
+            assert codes.tobytes() in keys
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
