@@ -15,12 +15,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from math import gcd
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import (
     ClosureBudgetExceeded,
+    InvariantViolation,
     ModulusMismatch,
     NonUnit,
     PrecisionExceeded,
@@ -966,9 +968,10 @@ class GroupLevel:
     ">= N").  ``closure_order`` is the order of the subgroup mod p^N.
     ``witnesses`` are ``reduction_kernel_generators(modulus, level)``
     (empty when ``level`` is None).  When ``group_level`` closed the group,
-    their membership in the closure proves the containment.  On the
-    lattice path their logarithms lie in the Lie lattice L = log H of the
-    group, because p^level sl2 is inside L.
+    their membership in the closure proves the containment.  On the sift
+    path they generate K(p^level), which the sift proves is inside the
+    group: every level k >= ``level`` of the filtration holds three
+    independent leading terms of elements of the group.
     """
 
     level: int | None
@@ -987,55 +990,138 @@ def group_level(
     A precomputed closure may be passed instead; it is not closed again.
 
     For a generator list at p >= 5 with every generator = 1 mod p, no
-    closure is formed.  Such an H lies in K(p), and for p >= 5 every closed
-    subgroup of K(p) is saturable, since dim sl2 = 3 < p (Gonzalez-Sanchez
-    and Klopsch, J. Group Theory 12, 2009).  By Lazard's correspondence
-    (Publ. IHES 26, 1965), the subgroup of SL(2, Z_p) generated by lifts of
-    the generators and K(p^N) is then exp L.  Here L is the Lie lattice
-    generated by the logarithms of the generators and p^N sl2
-    (``lattice.lie_closure``).  So |H| = [L : p^N sl2], and K(p^n) lies in
-    H exactly when p^n sl2 lies in L, that is, when n is at least L's
-    largest divisor.  Every other input is closed and probed with the
-    kernel generators of each level.  Either way the generators are
-    validated in order, as ``SubgroupClosure.extend`` does (on the lattice
-    path all of them before the order is known), and an order above
-    ``cap`` raises ``ClosureBudgetExceeded``.
+    closure is formed: H lies in K(p) and is sifted along the congruence
+    filtration K(p^k), k = 1, ..., N - 1 (``_sift_group_level``).  The
+    leading term (g - 1)/p^k mod p maps K(p^k)/K(p^(k+1)) isomorphically
+    onto sl2(F_p), and the sift keeps, for each k, an echelon basis B_k of
+    leading terms of elements of H at depth k: an induced polycyclic
+    sequence (Holt, Eick and O'Brien, *Handbook of Computational Group
+    Theory*, 2005, ch. 8).  It sifts every generator, then each new basis
+    element's p-th power and its commutators with the earlier ones, which
+    lie deeper.  Once all of them sift to the identity the sequence is
+    consistent, and by downward induction on k, H cap K(p^k) is generated
+    by the basis elements at depths >= k and has order p^(d_k + ... +
+    d_(N-1)), d_k = |B_k|.  So |H| = p^(d_1 + ... + d_(N-1)), and K(p^n)
+    lies in H exactly when d_k = 3 for every k >= n.  A level with d_k = 3
+    ends the sift: K(p^k) is uniform for k >= 1 when p is odd and for
+    k >= 2 when p = 2, so its Frattini subgroup is K(p^(k+1)), and by the
+    Burnside basis theorem the three basis elements at depth k generate
+    K(p^k) (Dixon, du Sautoy, Mann and Segal, *Analytic Pro-p Groups*,
+    ch. 4).  Every other input is closed and probed with the kernel
+    generators of each level.  Either way the generators are validated in
+    order, as ``SubgroupClosure.extend`` does (on the sift path all of them
+    before the order is known), and an order above ``cap`` raises
+    ``ClosureBudgetExceeded``.
     """
     if isinstance(generators, SubgroupClosure):
         closure = generators
     elif generators and generators[0].modulus.p >= 5 and all(
         in_principal_congruence(g, 1) for g in generators
     ):
-        return _lie_group_level(generators, cap)
+        return _sift_group_level(generators, cap)
     else:
         closure = closure_of_generators(generators, cap=cap)
     modulus = closure.modulus
     for n in range(0, modulus.N):
+        if n and modulus.p ** (3 * (modulus.N - n)) > closure.order:
+            continue  # K(p^n) has more elements than H
         probes = reduction_kernel_generators(modulus, n)
         if all(closure.contains(w) for w in probes):
             return GroupLevel(level=n, closure_order=closure.order, witnesses=probes)
     return GroupLevel(level=None, closure_order=closure.order, witnesses=())
 
 
-def _lie_group_level(generators: Sequence[MatP], cap: int) -> GroupLevel:
-    """``group_level`` of generators in K(p), p >= 5, from the Lie lattice
-    of their logarithms."""
-    from .explog import log_extended
-    from .lattice import lattice_level, lie_closure, mat_to_vec
+def _sift_group_level(generators: Sequence[MatP], cap: int) -> GroupLevel:
+    """``group_level`` of generators in K(p), at any p, by sifting along
+    the filtration K(p^k), lowest depth first (see ``group_level``).
 
+    Elements are 4-tuples of Python ints.  ``pending[k]`` holds what is
+    still to be sifted at depth >= k: elements, and the p-th powers
+    ``(x, None)`` and commutators ``(x, y)`` of basis elements, formed only
+    when their depth is reached, so none is formed below a full level.  For
+    odd p, x -> x^p embeds each level in the next, and a dimension that
+    falls along the filtration raises ``InvariantViolation``.
+    """
     modulus = generators[0].modulus
-    logs = []
     for g in generators:
         _require_sl2(g, modulus, "generator")
-        logs.append(mat_to_vec(log_extended(g).matrix))
-    lat = lie_closure(logs, modulus)
-    order = lat.point_count()
+    p, N, q = modulus.p, modulus.N, modulus.pN
+    depth_of = {p**k: k for k in range(N + 1)}  # gcd(a - 1, b, c, q) -> depth
+
+    def depth(x):
+        return depth_of[gcd(x[0] - 1, x[1], x[2], q)]
+
+    pending: list[list] = [[] for _ in range(N)]
+    for g in generators:
+        if (k := depth(x := g.as_tuple())) < N:
+            pending[k].append(x)
+    dims = [0] * N  # dims[k] = d_k; dims[0] is unused
+    done: list[tuple] = []  # basis elements with their depths, in order
+    first_uniform = 1 if p > 2 else 2  # K(p^k) is uniform from this k on
+    for k in range(1, N):
+        basis: list[tuple] = []  # (element, leading term, pivot, 1/pivot entry)
+        for x in pending[k]:
+            if len(x) == 2:
+                x, y = x
+                # x^p, or [x, y] = (x y) (y x)^-1
+                x = _power(x, p, q) if y is None else mul_columns(
+                    mul_columns(x, y, q), inverse_columns(mul_columns(y, x, q), q), q)
+                if (j := depth(x)) > k:
+                    if j < N:
+                        pending[j].append(x)
+                    continue
+            v = _lead(x, k, p)
+            for b, w, i, inv in basis:
+                if e := -v[i] * inv % p:
+                    x = mul_columns(x, _power(b, e, q), q)
+                    v = tuple((s + e * t) % p for s, t in zip(v, w))
+            if not any(v):
+                if (j := depth(x)) <= k:
+                    raise InvariantViolation(f"leading term vanished, element stays at depth {j}")
+                if j < N:
+                    pending[j].append(x)
+                continue
+            i = next(i for i, s in enumerate(v) if s)
+            basis.append((x, v, i, pow(v[i], -1, p)))
+            if k + 1 < N:
+                pending[k + 1].append((x, None))
+            for y, j in done:
+                if k + j < N:
+                    pending[k + j].append((x, y))
+            done.append((x, k))
+            if len(basis) == 3 and k >= first_uniform:
+                break
+        dims[k] = len(basis)
+        if dims[k] == 3 and k >= first_uniform:
+            dims[k:] = [3] * (N - k)
+            break
+    if p > 2 and any(dims[k] > dims[k + 1] for k in range(1, N - 1)):
+        raise InvariantViolation(f"level dimensions {dims[1:]} fall along the filtration")
+    order = p ** sum(dims)
     if order > cap:
         raise _over_cap(order, cap)
-    if not lat.is_full_rank:
-        return GroupLevel(level=None, closure_order=order, witnesses=())
-    level = lattice_level(lat)
-    return GroupLevel(level, order, reduction_kernel_generators(modulus, level))
+    level = next((n for n in range(1, N) if all(d == 3 for d in dims[n:])), None)
+    witnesses = () if level is None else reduction_kernel_generators(modulus, level)
+    return GroupLevel(level, order, witnesses)
+
+
+def _lead(x: tuple, k: int, p: int) -> tuple[int, int, int]:
+    """The leading term (x - 1)/p^k mod p of x in K(p^k), as the entries
+    (1, 1), (1, 2) and (2, 1); the (2, 2) entry is minus the first."""
+    pk = p**k
+    return ((x[0] - 1) // pk % p, x[1] // pk % p, x[2] // pk % p)
+
+
+def _power(x: tuple, e: int, q: int) -> tuple:
+    """x^e for e >= 1, by squaring."""
+    result = None
+    while True:
+        if e & 1:
+            result = x if result is None else mul_columns(result, x, q)
+        e >>= 1
+        if not e:
+            return result
+        x = mul_columns(x, x, q)
 
 
 # ---------------------------------------------------------------------------

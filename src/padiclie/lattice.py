@@ -532,7 +532,14 @@ def lie_closure(columns: Sequence[Vec], modulus: Modulus) -> LieLattice:
 
     Starts from their span and, while ``bracket_witness`` finds a pair of
     generators whose bracket lies outside, adds that bracket.  Each step
-    enlarges the lattice, so there are at most 3N steps."""
+    enlarges the lattice, so there are at most 3N steps.
+
+    No library code calls it now that ``core.group_level`` sifts along the
+    congruence filtration.  The tests use it as that sift's oracle at
+    orders the closure cannot reach (on the logarithms of generators in
+    K(p), p >= 5, where Lazard's correspondence makes it log H), and it is
+    the step that gives the Lie lattice log(H cap K(p)) of a group, which
+    an approximation of H by a subalgebra needs."""
     lat = LieLattice.from_columns(columns, modulus)
     while (pair := bracket_witness(lat, modulus.N)) is not None:
         lat = LieLattice.from_columns((*lat.generators, bracket(*pair, modulus.pN)), modulus)

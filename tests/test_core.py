@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from padiclie import core, lattice
 from padiclie import (
-    GroupLevel,
     MatP,
     Modulus,
     SubgroupClosure,
@@ -40,6 +39,7 @@ from padiclie.core import (
 from padiclie.enumeration import sl2_point_count
 from padiclie.errors import (
     ClosureBudgetExceeded,
+    InvariantViolation,
     ModulusMismatch,
     NonUnit,
     PrecisionExceeded,
@@ -640,9 +640,9 @@ _ORACLE_CAP = 10**6
 
 @pytest.mark.parametrize("gens, known", _lie_path_cases())
 def test_group_level_lie_path_matches_closure(gens, known, monkeypatch):
-    # generators in K(p), p >= 5, take the lattice path and close nothing;
-    # the enumerated closure is the oracle up to its cap, and a kernel's
-    # level and order are known at any size
+    # generators in K(p), p >= 5, are sifted and close nothing; the
+    # enumerated closure is the oracle up to its cap, and a kernel's level
+    # and order are known at any size
     with monkeypatch.context() as patch:
         patch.setattr(SubgroupClosure, "_extend", _refuse_extend)
         fast = group_level(gens, cap=10**15)
@@ -650,6 +650,83 @@ def test_group_level_lie_path_matches_closure(gens, known, monkeypatch):
         assert (fast.level, fast.closure_order) == known
     if fast.closure_order <= _ORACLE_CAP:  # 103 of the 120 sets
         assert fast == group_level(closure_of_generators(gens, cap=_ORACLE_CAP))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("N", [3, 4, 5, 6])
+def test_sift_matches_closure_at_small_primes(p, N):
+    # group_level closes the group at p = 2 and 3, but the sift is proved
+    # there too (at p = 2 a full level ends it only from depth 2 on)
+    m = Modulus(p, N)
+    rng = random.Random(f"sift-{p}-{N}")
+    compared = 0
+    for i in range(16):
+        gens = [random_congruence_element(rng, m, rng.randrange(1, N + 1)) for _ in range(rng.randrange(1, 4))]
+        if i % 2:  # a kernel K(p^n) mixed in
+            j = rng.randrange(len(gens) + 1)
+            gens[j:j] = reduction_kernel_generators(m, rng.randrange(1, N))
+        sifted = core._sift_group_level(gens, 10**15)
+        if sifted.closure_order <= _ORACLE_CAP:
+            assert sifted == group_level(closure_of_generators(gens, cap=_ORACLE_CAP)), i
+            compared += 1
+    assert compared >= 8
+
+
+def _lattice_level(gens) -> tuple[int | None, int]:
+    """(level, order) of <gens> in K(p), p >= 5, read from the Lie lattice
+    of their logarithms (Lazard; saturable since dim sl2 = 3 < p)."""
+    from padiclie.explog import log_extended
+
+    lat = lattice.lie_closure([lattice.mat_to_vec(log_extended(g).matrix) for g in gens], gens[0].modulus)
+    return (lattice.lattice_level(lat) if lat.is_full_rank else None), lat.point_count()
+
+
+def _borel_element(rng, m, n):
+    """A seeded upper-triangular element of K(p^n)."""
+    u = 1 + m.p**n * rng.randrange(m.p ** (m.N - n))
+    return MatP.of([[u, m.p**n * rng.randrange(m.pN)], [0, pow(u, -1, m.pN)]], m)
+
+
+def _large_order_cases():
+    """Seeded sets at (31, 10) and (5, 22), far above the closure's cap:
+    open pairs and triples, a kernel with an element added, and the
+    rank-deficient cyclic and Borel-type groups."""
+    cases = []
+    for p, N in ((31, 10), (5, 22)):
+        m = Modulus(p, N)
+        rng = random.Random(f"sift-large-{p}-{N}")
+        sets = [[random_congruence_element(rng, m, n) for _ in range(2)] for n in (1, 1, 2, 3)]
+        sets.append([random_congruence_element(rng, m, 2) for _ in range(3)])
+        sets.append([*reduction_kernel_generators(m, 5), random_congruence_element(rng, m, 2)])
+        sets.append([random_congruence_element(rng, m, 1)])
+        sets.append([_borel_element(rng, m, 1) for _ in range(2)])
+        cases += [pytest.param(gens, None, id=f"{p}-{N}-{i}") for i, gens in enumerate(sets)]
+    return cases
+
+
+@pytest.mark.parametrize("gens, known", _lie_path_cases() + _large_order_cases())
+def test_sift_matches_lie_lattice(gens, known):
+    # the Lie lattice is the oracle at any order, including the 17 path
+    # cases above the closure's cap
+    sifted = core._sift_group_level(gens, 10**300)
+    assert (sifted.level, sifted.closure_order) == _lattice_level(gens)
+    assert known is None or (sifted.level, sifted.closure_order) == known
+
+
+def test_sift_refuses_falling_level_dimensions(monkeypatch):
+    # <g> has d_k = 1 at every depth; the leading term of g^2 misread at
+    # depth 1 as independent of g's makes d_1 = 2 > d_2 = 1
+    m = Modulus(5, 4)
+    g = MatP.of([[1, 5], [0, 1]], m)
+    assert core._sift_group_level([g, g @ g], 10**15).closure_order == 5**3
+    square, lead = (g @ g).as_tuple(), core._lead
+
+    def corrupted(x, k, p):
+        return (1, 0, 0) if (x, k) == (square, 1) else lead(x, k, p)
+
+    monkeypatch.setattr(core, "_lead", corrupted)
+    with pytest.raises(InvariantViolation, match="fall"):
+        core._sift_group_level([g, g @ g], 10**15)
 
 
 @pytest.mark.parametrize(
@@ -670,9 +747,9 @@ def test_group_level_of_a_closure_reads_the_closure(monkeypatch):
     closure = closure_of_generators(reduction_kernel_generators(Modulus(5, 3), 1))
 
     def refuse(*args):
-        raise AssertionError("lattice path")
+        raise AssertionError("sift")
 
-    monkeypatch.setattr(lattice, "lie_closure", refuse)
+    monkeypatch.setattr(core, "_sift_group_level", refuse)
     lvl = group_level(closure)
     assert lvl.level == 1 and lvl.closure_order == 5**6
 

@@ -17,7 +17,6 @@ from padiclie import (
     grpc_bar,
     grpc_padic,
     h_plus,
-    lattice_level,
     liec_bar,
     liec_padic,
     roundtrip_check_fp,
